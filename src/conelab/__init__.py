@@ -49,7 +49,6 @@ from .operators import (
     PowerIterationError,
     apply_S,
     apply_SstarS,
-    gram_matrix,
     norm_S_sq,
     op_norm_SstarS,
     pl_l2_inner,
@@ -117,7 +116,6 @@ __all__ = [
     "contains",
     "count_sign_changes",
     "gradient",
-    "gram_matrix",
     "growth_estimate",
     "hessian_form",
     "hessian_vec",

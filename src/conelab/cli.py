@@ -97,9 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return 2
     mesh = Mesh(args.n)
-    opts = SolverOptions(
-        max_iterations=args.max_iter, tolerance=args.tol, seed=args.seed
-    )
+    opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
     report = solve_with_canonical_start(args.h, mesh, args.method, opts)
     _emit(
         report.as_dict(),
@@ -114,7 +112,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         h_list=tuple(args.h_list),
         n_list=tuple(args.n_list),
         method=args.method,
-        opts=SolverOptions(seed=args.seed),
         output_path=args.out,
         format=args.format,
     )
@@ -176,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--tol", type=_positive_float, default=1e-10)
     solve.add_argument("--max-iter", type=_positive_int, default=100000)
-    solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=_cmd_solve)
 
     sweep = sub.add_parser("sweep", help="solve over a grid of (h, n) and write rows")
@@ -191,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--out", required=True, help="output file path")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=_cmd_sweep)
 
     growth = sub.add_parser(
@@ -209,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     stability.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
     stability.add_argument("--h", type=_nonnegative_float, required=True, help="tilt")
     stability.add_argument("--delta", type=_positive_float, default=0.5)
-    stability.add_argument("--seed", type=int, default=0)
     stability.set_defaults(func=_cmd_stability)
 
     return parser

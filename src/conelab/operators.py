@@ -6,21 +6,29 @@ node values
 
     (S u)(k/n) = width * (u_1 + ... + u_k),
 
-so everything about S on the mesh is exact: norms, inner products and
-the Gram matrix G with G[i, j] = integral of (S e_i)(S e_j) are closed
-forms in the cell width (all integrands are polynomials of degree <= 2
-per cell).  The adjoint pairing uses (S*S u)_i = (G u)_i / width, the
-exact cell average of x -> integral of (S u) over (x, 1).
+so everything about S on the mesh is exact.  With the partial sums
+a_k = u_1 + ... + u_{k-1} and b_k = a_k + u_k (the walk of u),
+
+    ||S u||^2 = (width^3 / 3) * sum_k (a_k^2 + a_k b_k + b_k^2),
+
+and the Gram matrix of the images S e_i of the cell indicators is
+(width^3 / 6) * K6 with the integer matrix (1-based cells)
+
+    K6[I, J] = 6 n + 3 - 6 max(I, J) - [I = J].
+
+Row I of K6 u is 6 (P_I + ... + P_n) - 3 P_n - u_I over the prefix sums
+P_k = u_1 + ... + u_k, so S*S is applied in O(n) with no n x n array;
+(S*S u)_i = (width^2 / 6) (K6 u)_i is the exact cell average of
+x -> integral of (S u) over (x, 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, Mesh, _check_same_mesh
+from .grid import GridFunction, Mesh
 
 
 class PowerIterationError(RuntimeError):
@@ -51,15 +59,28 @@ def apply_S(u: GridFunction) -> PiecewiseLinear:
     return PiecewiseLinear(u.mesh, nodes)
 
 
+def walk_energy(values: np.ndarray) -> np.ndarray:
+    """Sum of a^2 + a*b + b^2 over cells, along the last axis.
+
+    a and b are the partial sums of values before and after each cell,
+    starting from 0, so rows are independent and integer input gives
+    an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
+    pattern sigma.
+    """
+    values = np.asarray(values)
+    nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
+    np.cumsum(values, axis=-1, out=nodes[..., 1:])
+    a, b = nodes[..., :-1], nodes[..., 1:]
+    return np.sum(a * a + a * b + b * b, axis=-1)
+
+
 def norm_S_sq(u: GridFunction) -> float:
     """Exact squared L^2 norm of S u.
 
-    On each cell S u runs linearly from a to b, and the integral of its
-    square over the cell is width * (a^2 + a*b + b^2) / 3.
+    On each cell S u runs linearly from width * a to width * b, and the
+    integral of its square over the cell is width^3 (a^2 + a*b + b^2) / 3.
     """
-    nodes = apply_S(u).node_values
-    a, b = nodes[:-1], nodes[1:]
-    return float(u.mesh.width / 3.0 * np.sum(a * a + a * b + b * b))
+    return float(u.mesh.width**3 / 3.0 * walk_energy(u.values))
 
 
 def pl_l2_inner(f: PiecewiseLinear, g: PiecewiseLinear) -> float:
@@ -77,29 +98,16 @@ def pl_l2_inner(f: PiecewiseLinear, g: PiecewiseLinear) -> float:
     )
 
 
-@lru_cache(maxsize=32)
-def _gram(n: int) -> np.ndarray:
-    # G[i, j] = integral of (S e_i)(S e_j) with 1-based cells i, j:
-    #   i == j: w^3/3 + w^2 (1 - i w)
-    #   i <  j: w^2 (w/2 + 1 - j w)
-    w = 1.0 / n
-    idx = np.arange(1, n + 1)
-    j = np.maximum.outer(idx, idx)
-    G = w * w * (w / 2.0 + 1.0 - j * w)
-    np.fill_diagonal(G, w**3 / 3.0 + w * w * (1.0 - idx * w))
-    G.setflags(write=False)
-    return G
-
-
-def gram_matrix(mesh: Mesh) -> np.ndarray:
-    """Gram matrix of the images S e_i of the cell indicators (read-only)."""
-    return _gram(mesh.n)
+def _k6_times(u: np.ndarray) -> np.ndarray:
+    # K6 u = 6 (P_I + ... + P_n) - 3 P_n - u_I over the prefix sums P;
+    # exact for integer u.
+    P = np.cumsum(u)
+    return 6 * np.cumsum(P[::-1])[::-1] - 3 * P[-1] - u
 
 
 def apply_SstarS(u: GridFunction) -> GridFunction:
-    """Cell averages of S*S u, computed exactly as (G u) / width."""
-    w = gram_matrix(u.mesh) @ u.values
-    return GridFunction(u.mesh, w / u.mesh.width)
+    """Cell averages of S*S u, computed exactly as (width^2 / 6) K6 u."""
+    return GridFunction(u.mesh, u.mesh.width**2 / 6.0 * _k6_times(u.values))
 
 
 def op_norm_SstarS(
@@ -115,15 +123,15 @@ def op_norm_SstarS(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    G = gram_matrix(mesh)
     width = mesh.width
+    scale = width**2 / 6.0
     u = np.ones(mesh.n)
     lam = 0.0
     for _ in range(max_iterations):
-        v = (G @ u) / width
+        v = scale * _k6_times(u)
         norm = np.sqrt(width * np.dot(v, v))
         u = v / norm
-        Au = (G @ u) / width
+        Au = scale * _k6_times(u)
         lam_new = np.dot(Au, u) / np.dot(u, u)
         if abs(lam_new - lam) < tol:
             if not 2.0 * lam_new < 1.0:

@@ -7,8 +7,10 @@
   its minimum sits at a vertex u = t * sigma, and along each ray u =
   t * sigma the objective is t^2 (1/2 + m) - h t with m = ||S sigma||^2,
   minimized at t = h / (1 + 2 m) with value -h^2 / (2 + 4 m).  Finding
-  the best pattern therefore means minimizing m = sigma' G sigma over
-  sign vectors, where G is the Gram matrix of S.
+  the best pattern therefore means minimizing m over sign vectors, and
+  m = (width^3 / 6) sigma' K6 sigma = (width^3 / 3) E(sigma) with the
+  integer matrix K6 and the integer walk energy E of operators, so all
+  pattern comparisons are exact integer comparisons.
 * solve_bruteforce: exhaustive enumeration of all 2^n sign patterns
   (n <= 20), the oracle the iterative methods are tested against.
 
@@ -33,12 +35,11 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import gradient, quadratic_decrease, value
-from .operators import apply_SstarS, gram_matrix, op_norm_SstarS
+from .operators import _k6_times, apply_SstarS, norm_S_sq, op_norm_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
 BRUTE_FORCE_MAX_CELLS = 20
-_ENUM_CHUNK = 1 << 16
-_TIE_TOL = 1e-12
+_ENUM_CHUNK = 1 << 14
 
 
 class BruteForceSizeError(ValueError):
@@ -51,16 +52,13 @@ class SolverOptions:
 
     step_rule "backtracking" halves the step until the objective
     decreases (reset to initial_step each iteration); "fixed" always
-    applies initial_step with no decrease test.  seed only matters to
-    callers that draw random starts; the solvers themselves are
-    deterministic.
+    applies initial_step with no decrease test.
     """
 
     max_iterations: int = 100000
     tolerance: float = 1e-10
     step_rule: str = "backtracking"
     initial_step: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
@@ -135,6 +133,16 @@ def alternating_signs(n: int) -> np.ndarray:
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
+
+
+def sign_patterns(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of all 2^n sign patterns (int32, n <= 30).
+
+    Rows run in lexicographic order with +1 before -1: bit k of the row
+    index, counted from the most significant, is set where cell k is -1.
+    """
+    idx = np.arange(start, stop, dtype=np.int32)
+    return 1 - 2 * ((idx[:, None] >> np.arange(n - 1, -1, -1, dtype=np.int32)) & 1)
 
 
 def random_feasible_point(mesh: Mesh, rng: np.random.Generator) -> ConePoint:
@@ -254,21 +262,34 @@ def solve_pgd(
     return _build_report(h, "pgd", x, steps, reached, opts)
 
 
-def _pair_gain(signs: np.ndarray, Gs: np.ndarray, G: np.ndarray, i: int) -> float:
-    # Quarter of the drop in m = sigma' G sigma from flipping cells i and i+1.
+def _gain(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> int:
+    # Quarter of the drop in sigma' K6 sigma from flipping cell i.
+    return signs[i] * Ks[i] - (tail[i] - 1)
+
+
+def _pair_gain(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> int:
+    # The same for flipping cells i and i+1 together; K6[i, i+1] = tail[i+1].
     j = i + 1
     return (
-        signs[i] * Gs[i]
-        + signs[j] * Gs[j]
-        - G[i, i]
-        - G[j, j]
-        - 2.0 * signs[i] * signs[j] * G[i, j]
+        _gain(signs, Ks, tail, i)
+        + _gain(signs, Ks, tail, j)
+        - 2 * signs[i] * signs[j] * tail[j]
     )
 
 
-def _flip(signs: np.ndarray, Gs: np.ndarray, G: np.ndarray, i: int) -> None:
+def _flip(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> None:
+    # Column i of K6 is tail[max(i, k)] - [k = i] in row k.
     signs[i] = -signs[i]
-    Gs += (2.0 * signs[i]) * G[:, i]
+    d = 2 * signs[i]
+    Ks[: i + 1] += d * tail[i]
+    Ks[i + 1 :] += d * tail[i + 1 :]
+    Ks[i] -= d
+
+
+def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
+    # The best point t * (1, sigma) on the ray of a sign pattern.
+    t = h / (1.0 + 2.0 * norm_S_sq(GridFunction(mesh, signs)))
+    return ConePoint(t, GridFunction(mesh, t * signs))
 
 
 def solve_bangbang(
@@ -279,18 +300,20 @@ def solve_bangbang(
 ) -> SolveReport:
     """Descend on sign patterns until no cellwise move improves.
 
-    Works on m(sigma) = ||S sigma||^2 = sigma' G sigma, which alone
-    determines the ray optimum t = h / (1 + 2 m).  A sweep applies, in
-    order: single flips with positive gain (flipping cell i changes m
-    by 4 (G_ii - sigma_i (G sigma)_i), so the exact improvement test is
-    sigma_i (G sigma)_i > G_ii), adjacent pair flips with positive gain
-    (these escape the stalls single flips hit on domain walls), and,
-    once no gaining move exists, zero-gain flips that turn the earliest
-    possible -1 into +1.  The last pass walks the plateau of tied
-    patterns to its lexicographically smallest member (+1 before -1)
-    without changing m, so tied runs land on one canonical pattern.
+    Works on m(sigma) = ||S sigma||^2 = (width^3 / 6) sigma' K6 sigma,
+    which alone determines the ray optimum t = h / (1 + 2 m), and keeps
+    the integer vector K6 sigma, so every gain below is an exact integer.
+    A sweep applies, in order: single flips with positive gain (flipping
+    cell i changes sigma' K6 sigma by 4 (K6_ii - sigma_i (K6 sigma)_i),
+    so the improvement test is sigma_i (K6 sigma)_i > K6_ii), adjacent
+    pair flips with positive gain (these escape the stalls single flips
+    hit on domain walls), and, once no gaining move exists, zero-gain
+    flips that turn the earliest possible -1 into +1.  The last pass
+    walks the plateau of tied patterns to its lexicographically smallest
+    member (+1 before -1) without changing m, so tied runs land on one
+    canonical pattern.
 
-    Strict moves decrease m by a bounded-below amount and polish moves
+    Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot
     cycle; it stops at a pattern where no move applies (converged) or
     at the sweep cap (converged=False).  iterations counts sweeps.
@@ -306,39 +329,37 @@ def solve_bangbang(
         apex = ConePoint.apex(mesh)
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
     n = mesh.n
-    G = gram_matrix(mesh)
-    Gs = G @ signs
-    move_tol = 1e-9 * mesh.width**3
+    s = signs.astype(np.int64)
+    Ks = _k6_times(s)
+    tail = 6 * n + 3 - 6 * np.arange(1, n + 1, dtype=np.int64)
     sweeps = 0
     settled = False
     while sweeps < opts.max_iterations:
         sweeps += 1
         moved = False
         for i in range(n):
-            if signs[i] * Gs[i] - G[i, i] > move_tol:
-                _flip(signs, Gs, G, i)
+            if _gain(s, Ks, tail, i) > 0:
+                _flip(s, Ks, tail, i)
                 moved = True
         for i in range(n - 1):
-            if _pair_gain(signs, Gs, G, i) > move_tol:
-                _flip(signs, Gs, G, i)
-                _flip(signs, Gs, G, i + 1)
+            if _pair_gain(s, Ks, tail, i) > 0:
+                _flip(s, Ks, tail, i)
+                _flip(s, Ks, tail, i + 1)
                 moved = True
         if not moved:
             for i in range(n):
-                if signs[i] < 0 and abs(signs[i] * Gs[i] - G[i, i]) <= move_tol:
-                    _flip(signs, Gs, G, i)
+                if s[i] < 0 and _gain(s, Ks, tail, i) == 0:
+                    _flip(s, Ks, tail, i)
                     moved = True
             for i in range(n - 1):
-                if signs[i] < 0 and abs(_pair_gain(signs, Gs, G, i)) <= move_tol:
-                    _flip(signs, Gs, G, i)
-                    _flip(signs, Gs, G, i + 1)
+                if s[i] < 0 and _pair_gain(s, Ks, tail, i) == 0:
+                    _flip(s, Ks, tail, i)
+                    _flip(s, Ks, tail, i + 1)
                     moved = True
         if not moved:
             settled = True
             break
-    m = float(signs @ (G @ signs))
-    t = h / (1.0 + 2.0 * m)
-    p = ConePoint(t, GridFunction(mesh, t * signs))
+    p = _ray_optimum(h, mesh, s.astype(float))
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 
 
@@ -349,12 +370,12 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
     the box (checked here via 2 * op_norm_SstarS < 1), so the global
     minimizer is the apex or a vertex point t(sigma) * (1, sigma); the
     apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m)
-    and coincides with every ray optimum when h = 0.  Among patterns
-    tied to within a small absolute tolerance on m (sigma and -sigma
-    always tie exactly), the lexicographically smallest pattern wins,
-    ordering +1 before -1; enumeration order is exactly that order, so
-    the first hit is kept.  tie_count reports the number of tied
-    patterns.  iterations counts evaluated patterns.
+    and coincides with every ray optimum when h = 0.  Patterns are
+    compared by their integer walk energy, so ties are exact (sigma and
+    -sigma always tie).  Among tied patterns the lexicographically
+    smallest wins, ordering +1 before -1; enumeration runs in exactly
+    that order, so the first strict minimum is kept.  tie_count reports
+    the number of tied patterns.  iterations counts evaluated patterns.
     """
     n = mesh.n
     if n > BRUTE_FORCE_MAX_CELLS:
@@ -369,29 +390,14 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
         return _build_report(
             0.0, "brute", ConePoint.apex(mesh), 0, True, opts, tie_count=2**n
         )
-    G = gram_matrix(mesh)
-    shifts = n - 1 - np.arange(n)
     total = 1 << n
-    best_m = np.inf
-    best_idx = 0
+    best, best_idx, ties = np.inf, 0, 0
     for base in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(base, min(base + _ENUM_CHUNK, total), dtype=np.int64)
-        patterns = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
-        m = np.einsum("ij,jk,ik->i", patterns, G, patterns)
-        chunk_min = float(m.min())
-        if chunk_min < best_m - _TIE_TOL:
-            best_idx = base + int(np.nonzero(m <= chunk_min + _TIE_TOL)[0][0])
-            best_m = chunk_min
-        elif chunk_min < best_m:
-            best_m = chunk_min
-    ties = 0
-    for base in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(base, min(base + _ENUM_CHUNK, total), dtype=np.int64)
-        patterns = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
-        m = np.einsum("ij,jk,ik->i", patterns, G, patterns)
-        ties += int(np.count_nonzero(m <= best_m + _TIE_TOL))
-    sigma = 1.0 - 2.0 * ((best_idx >> shifts) & 1)
-    m_best = float(sigma @ (G @ sigma))
-    t = h / (1.0 + 2.0 * m_best)
-    p = ConePoint(t, GridFunction(mesh, t * sigma))
+        energy = walk_energy(sign_patterns(n, base, min(base + _ENUM_CHUNK, total)))
+        k = int(np.argmin(energy))
+        if energy[k] < best:
+            best, best_idx, ties = energy[k], base + k, 0
+        if energy[k] == best:
+            ties += int(np.count_nonzero(energy == best))
+    p = _ray_optimum(h, mesh, sign_patterns(n, best_idx, best_idx + 1)[0].astype(float))
     return _build_report(h, "brute", p, total, True, opts, tie_count=ties)

@@ -22,7 +22,8 @@ import numpy as np
 from .cone import ConePoint, InfeasiblePointError, contains, norm_X_sq, stationarity_residual
 from .grid import GridFunction, Mesh, l2_norm_sq
 from .objective import gradient, hessian_form
-from .operators import norm_S_sq
+from .operators import norm_S_sq, walk_energy
+from .solvers import alternating_signs, sign_patterns
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
@@ -127,12 +128,6 @@ class GrowthReport:
         return json.dumps(self.as_dict())
 
 
-def _alternating(n: int) -> np.ndarray:
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
-
-
 def _direction_rows(mesh: Mesh, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Cell-value rows of sampled cone directions, all with t = 1.
 
@@ -143,20 +138,10 @@ def _direction_rows(mesh: Mesh, samples: int, rng: np.random.Generator) -> np.nd
     n = mesh.n
     rows = [rng.uniform(-1.0, 1.0, size=(samples, n))]
     rows.append(np.zeros((1, n)))
-    rows.append(_alternating(n)[None, :])
+    rows.append(alternating_signs(n)[None, :])
     if n <= 12:
-        idx = np.arange(2**n, dtype=np.int64)
-        bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-        rows.append(1.0 - 2.0 * bits)
+        rows.append(sign_patterns(n, 0, 2**n))
     return np.vstack(rows)
-
-
-def _row_norm_S_sq(U: np.ndarray, width: float) -> np.ndarray:
-    nodes = np.concatenate(
-        [np.zeros((U.shape[0], 1)), width * np.cumsum(U, axis=1)], axis=1
-    )
-    a, b = nodes[:, :-1], nodes[:, 1:]
-    return width / 3.0 * np.sum(a * a + a * b + b * b, axis=1)
 
 
 def coercivity_estimate(
@@ -173,7 +158,7 @@ def coercivity_estimate(
     rng = np.random.default_rng(seed)
     U = _direction_rows(mesh, samples, rng)
     width = mesh.width
-    image = _row_norm_S_sq(U, width)
+    image = width**3 / 3.0 * walk_energy(U)
     comp = width * np.sum(U * U, axis=1)
     form = 2.0 + 2.0 * image - comp
     nsq = 1.0 + comp
@@ -215,7 +200,7 @@ def growth_estimate(
     scales = epsilon * (1.0 - rng.uniform(0.0, 1.0, size=U.shape[0])) / np.sqrt(nsq)
     T = scales.copy()
     U = U * scales[:, None]
-    image = _row_norm_S_sq(U, width)
+    image = width**3 / 3.0 * walk_energy(U)
     comp = width * np.sum(U * U, axis=1)
     f0 = T * T + image - 0.5 * comp
     ratios = 2.0 * f0 / (T * T + comp)

@@ -1,4 +1,4 @@
-"""Integration operator, Gram matrix, and spectral checks.
+"""Integration operator, its normal operator S*S, and spectral checks.
 
 Expected values come from exact rational arithmetic: the image of a
 piecewise-constant function under the running integral is piecewise
@@ -9,7 +9,9 @@ pieces are evaluated through the antiderivative
         = a c + (a (d-c) + c (b-a)) / 2 + (b-a)(d-c) / 3,
 
 a different algebraic route than the implementation's symmetric
-quadrature weights.
+quadrature weights.  The Gram matrix exists only on the test side,
+assembled column by column from width * apply_SstarS(e_j), so the
+entry and eigenvalue oracles check the matrix-free operator.
 """
 
 from fractions import Fraction
@@ -25,7 +27,6 @@ from conelab import (
     PowerIterationError,
     apply_S,
     apply_SstarS,
-    gram_matrix,
     l2_inner,
     norm_S_sq,
     op_norm_SstarS,
@@ -48,6 +49,13 @@ def _exact_pl_inner(f_nodes, g_nodes):
     for a, b, c, d in zip(f_nodes[:-1], f_nodes[1:], g_nodes[:-1], g_nodes[1:]):
         total += width * (a * c + (a * (d - c) + c * (b - a)) / 2 + (b - a) * (d - c) / 3)
     return total
+
+
+def _gram_from_operator(n):
+    # column j is width * S*S e_j, i.e. the inner products <S e_i, S e_j>
+    mesh = Mesh(n)
+    cols = [apply_SstarS(GridFunction(mesh, e)).values for e in np.eye(n)]
+    return mesh.width * np.column_stack(cols)
 
 
 def _rational_cells(rng, n):
@@ -102,7 +110,7 @@ def test_gram_matrix_entries_are_pairwise_image_inner_products():
     # G_ij must equal the inner product of the images of unit cell
     # indicators, computed here in exact arithmetic
     for n in (1, 2, 3, 6):
-        G = gram_matrix(Mesh(n))
+        G = _gram_from_operator(n)
         for i in range(n):
             for j in range(n):
                 e_i = [Fraction(int(k == i)) for k in range(n)]
@@ -114,17 +122,10 @@ def test_gram_matrix_entries_are_pairwise_image_inner_products():
 
 def test_gram_matrix_n2_exact():
     assert_allclose(
-        gram_matrix(Mesh(2)),
+        _gram_from_operator(2),
         [[1.0 / 6.0, 1.0 / 16.0], [1.0 / 16.0, 1.0 / 24.0]],
         rtol=1e-15,
     )
-
-
-def test_gram_matrix_is_cached_and_readonly():
-    G = gram_matrix(Mesh(6))
-    assert gram_matrix(Mesh(6)) is G
-    with pytest.raises(ValueError):
-        G[0, 0] = 1.0
 
 
 def test_apply_SstarS_exact_cell_averages():
@@ -135,6 +136,17 @@ def test_apply_SstarS_exact_cell_averages():
     assert_allclose(out2.values, [11.0 / 24.0, 5.0 / 24.0], rtol=1e-15)
     out1 = apply_SstarS(GridFunction.constant(Mesh(1), 1.0))
     assert_allclose(out1.values, [1.0 / 3.0], rtol=1e-15)
+
+
+def test_apply_SstarS_of_the_constant_on_a_million_cells():
+    # far beyond any dense n x n matrix: the cell average of (1 - x^2)/2
+    # over [x_{i-1}, x_i] is (1 - (x_{i-1}^2 + x_{i-1} x_i + x_i^2)/3)/2,
+    # which with x_i = i/n is (3n^2 - 3i^2 + 3i - 1) / (6n^2)
+    n = 2**20
+    i = np.arange(1, n + 1, dtype=np.int64)
+    exact = (3 * n * n - 3 * i * i + 3 * i - 1) / (6.0 * n * n)
+    out = apply_SstarS(GridFunction.constant(Mesh(n), 1.0))
+    assert_allclose(out.values, exact, rtol=1e-12, atol=0)
 
 
 def test_adjoint_identity():
@@ -166,7 +178,7 @@ def test_op_norm_small_meshes():
     assert_allclose(op_norm_SstarS(Mesh(1)), 1.0 / 3.0, atol=1e-11)
     # dense eigenvalue solve as an independent oracle
     for n in (2, 3, 8, 32):
-        dense = np.linalg.eigvalsh(gram_matrix(Mesh(n)) / Mesh(n).width).max()
+        dense = np.linalg.eigvalsh(_gram_from_operator(n) / Mesh(n).width).max()
         assert_allclose(op_norm_SstarS(Mesh(n)), dense, atol=1e-10)
 
 

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conelab import (
+    BRUTE_FORCE_MAX_CELLS,
     BruteForceSizeError,
     ConePoint,
     GridFunction,
@@ -129,6 +130,32 @@ def test_bruteforce_against_exact_oracle():
                 report.minimizer.u.values, float(t) * np.array(sigma), atol=1e-12
             )
             assert report.tie_count == ties
+
+
+def _closed_form(h, n):
+    # min ||S sigma||^2 = 1/(3 n^2), attained by the alternating patterns
+    m = 1.0 / (3.0 * n * n)
+    return -h * h / (2.0 + 4.0 * m), h / (1.0 + 2.0 * m)
+
+
+def test_bruteforce_closed_form_at_every_size_up_to_the_cap():
+    h = 1.0
+    for n in range(1, BRUTE_FORCE_MAX_CELLS + 1):
+        report = solve_bruteforce(h, Mesh(n))
+        f, t = _closed_form(h, n)
+        assert_allclose(report.objective, f, rtol=1e-12)
+        assert_allclose(report.minimizer.t, t, rtol=1e-12)
+        assert report.tie_count == 2 ** ((n + 1) // 2)
+
+
+def test_bangbang_closed_form_on_a_fine_mesh():
+    h, n = 1.0, 1024
+    report = solve_bangbang(h, Mesh(n), all_plus_signs(n))
+    f, t = _closed_form(h, n)
+    assert_allclose(report.objective, f, rtol=1e-12)
+    assert_allclose(report.minimizer.t, t, rtol=1e-12)
+    assert report.sign_changes == n - 1
+    assert report.converged
 
 
 def test_bruteforce_size_guard():
