@@ -54,8 +54,6 @@ from .operators import (
     pl_l2_inner,
 )
 from .solvers import (
-    BRUTE_FORCE_MAX_CELLS,
-    BruteForceSizeError,
     PontryaginCheck,
     SolveReport,
     SolverOptions,
@@ -85,8 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETA_CERTIFIED",
-    "BRUTE_FORCE_MAX_CELLS",
-    "BruteForceSizeError",
     "CSV_HEADER",
     "ChainLink",
     "CoercivityReport",

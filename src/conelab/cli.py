@@ -6,7 +6,8 @@ flags.  Identical invocations produce byte-identical output and files.
 
 Exit codes: 0 when the command's success condition holds, 1 when the
 run completed but the condition failed (or an output file could not be
-written), 2 for invalid usage.
+written), 2 for invalid usage or a report holding a non-finite value,
+which strict JSON cannot carry (nothing is printed on stdout then).
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import sys
 from .cone import ConePoint
 from .grid import Mesh
 from .experiments import (
+    _METHODS,
     SweepConfig,
     perturbation_sweep,
     solve_with_canonical_start,
     stability_report,
     write_rows,
 )
-from .solvers import BRUTE_FORCE_MAX_CELLS, SolverOptions
+from .solvers import SolverOptions
 from .ssc import check_stationarity, coercivity_estimate, growth_estimate
 
 _STATIONARITY_LIMIT = 1e-12
@@ -68,7 +70,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     print(summary, file=sys.stderr)
 
 
@@ -90,12 +92,6 @@ def _cmd_verify_ssc(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.method == "brute" and args.n > BRUTE_FORCE_MAX_CELLS:
-        print(
-            f"error: method brute needs --n <= {BRUTE_FORCE_MAX_CELLS}",
-            file=sys.stderr,
-        )
-        return 2
     mesh = Mesh(args.n)
     opts = SolverOptions(max_iterations=args.max_iter, tolerance=args.tol)
     report = solve_with_canonical_start(args.h, mesh, args.method, opts)
@@ -168,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="minimize f_h on one mesh")
     solve.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
     solve.add_argument("--h", type=_nonnegative_float, required=True, help="tilt")
-    solve.add_argument(
-        "--method", choices=("pgd", "bangbang", "brute"), default="bangbang"
-    )
+    solve.add_argument("--method", choices=_METHODS, default="bangbang")
     solve.add_argument("--tol", type=_positive_float, default=1e-10)
     solve.add_argument("--max-iter", type=_positive_int, default=100000)
     solve.set_defaults(func=_cmd_solve)
@@ -182,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--h-list", type=_float_list, required=True, help="comma-separated tilts"
     )
-    sweep.add_argument(
-        "--method", choices=("pgd", "bangbang", "brute"), default="bangbang"
-    )
+    sweep.add_argument("--method", choices=_METHODS, default="bangbang")
     sweep.add_argument("--out", required=True, help="output file path")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=_cmd_sweep)

@@ -22,7 +22,6 @@ from .grid import GridFunction, Mesh
 from .objective import check_tilt
 from .operators import norm_S_sq
 from .solvers import (
-    BRUTE_FORCE_MAX_CELLS,
     SolveReport,
     SolverOptions,
     all_plus_signs,
@@ -84,7 +83,7 @@ class StabilityRecord:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,6 @@ class SweepConfig:
                 raise ValueError("mesh sizes must be >= 1")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.method == "brute" and max(self.n_list) > BRUTE_FORCE_MAX_CELLS:
-            raise ValueError(
-                f"brute-force sweeps need n <= {BRUTE_FORCE_MAX_CELLS}"
-            )
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
 
@@ -211,7 +206,7 @@ def write_rows(rows, path: str, format: str = "csv") -> None:
         lines += [",".join(_cell(v) for v in row.as_dict().values()) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([row.as_dict() for row in rows]) + "\n"
+        text = json.dumps([row.as_dict() for row in rows], allow_nan=False) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")

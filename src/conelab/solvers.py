@@ -11,11 +11,13 @@
   m = (width^3 / 6) sigma' K6 sigma = (width^3 / 3) E(sigma) with the
   integer matrix K6 and the integer walk energy E of operators, so all
   pattern comparisons are exact integer comparisons.
-* solve_bruteforce: exhaustive enumeration of all 2^n sign patterns
-  (n <= 20), the oracle the iterative methods are tested against.
+* solve_bruteforce: the exact global minimum over all 2^n sign
+  patterns, by dynamic programming over the partial-sum walk of the
+  pattern (n stages of O(n^(1/3)) states, any n), the oracle the
+  iterative methods are tested against.
 
 The vertex reduction is asserted at runtime: solve_bruteforce checks
-2 * op_norm_SstarS(mesh) < 1 before trusting the enumeration.
+2 * op_norm_SstarS(mesh) < 1 before trusting the pattern search.
 """
 
 from __future__ import annotations
@@ -38,37 +40,20 @@ from .objective import gradient, quadratic_decrease, value
 from .operators import _k6_times, apply_SstarS, norm_S_sq, op_norm_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
-BRUTE_FORCE_MAX_CELLS = 20
-_ENUM_CHUNK = 1 << 14
-
-
-class BruteForceSizeError(ValueError):
-    """Raised when exhaustive enumeration is asked for on too fine a mesh."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Shared iteration controls.
-
-    step_rule "backtracking" halves the step until the objective
-    decreases (reset to initial_step each iteration); "fixed" always
-    applies initial_step with no decrease test.
-    """
+    """Shared iteration controls."""
 
     max_iterations: int = 100000
     tolerance: float = 1e-10
-    step_rule: str = "backtracking"
-    initial_step: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
         if not (float(self.tolerance) > 0.0):
             raise ValueError("tolerance must be positive")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError("step_rule must be 'backtracking' or 'fixed'")
-        if not (float(self.initial_step) > 0.0):
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ class SolveReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -133,16 +118,6 @@ def alternating_signs(n: int) -> np.ndarray:
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
-
-
-def sign_patterns(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of all 2^n sign patterns (int32, n <= 30).
-
-    Rows run in lexicographic order with +1 before -1: bit k of the row
-    index, counted from the most significant, is set where cell k is -1.
-    """
-    idx = np.arange(start, stop, dtype=np.int32)
-    return 1 - 2 * ((idx[:, None] >> np.arange(n - 1, -1, -1, dtype=np.int32)) & 1)
 
 
 def random_feasible_point(mesh: Mesh, rng: np.random.Generator) -> ConePoint:
@@ -214,11 +189,11 @@ def solve_pgd(
 ) -> SolveReport:
     """Projected gradient descent from a feasible start.
 
-    Each iteration projects x - alpha * gradient back onto the cone.
-    Under the backtracking rule alpha is halved until the objective
-    decreases; the decrease is evaluated through the exact quadratic
-    expansion (quadratic_decrease), which stays meaningful where the
-    difference of two objective values would drown in cancellation.
+    Each iteration projects x - alpha * gradient back onto the cone,
+    with alpha halved from 1 until the objective decreases; the decrease
+    is evaluated through the exact quadratic expansion
+    (quadratic_decrease), which stays meaningful where the difference
+    of two objective values would drown in cancellation.
     Convergence is declared when the unit-step fixed-point residual
     ||x - project(x - gradient)|| drops to opts.tolerance.  A
     backtracking stall (step below 1e-16 with no decrease) stops the
@@ -241,23 +216,20 @@ def solve_pgd(
             break
         if steps >= opts.max_iterations:
             break
-        if opts.step_rule == "fixed":
-            x = project(_axpy(x, -opts.initial_step, g))
-        else:
-            step = opts.initial_step
-            accepted = None
-            while True:
-                candidate = project(_axpy(x, -step, g))
-                move = _axpy(candidate, -1.0, x)
-                if quadratic_decrease(h, x, move) < 0.0:
-                    accepted = candidate
-                    break
-                step *= 0.5
-                if step < MIN_BACKTRACK_STEP:
-                    break
-            if accepted is None:
+        step = 1.0
+        accepted = None
+        while True:
+            candidate = project(_axpy(x, -step, g))
+            move = _axpy(candidate, -1.0, x)
+            if quadratic_decrease(h, x, move) < 0.0:
+                accepted = candidate
                 break
-            x = accepted
+            step *= 0.5
+            if step < MIN_BACKTRACK_STEP:
+                break
+        if accepted is None:
+            break
+        x = accepted
         steps += 1
     return _build_report(h, "pgd", x, steps, reached, opts)
 
@@ -364,25 +336,29 @@ def solve_bangbang(
 
 
 def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
-    """Global minimizer by enumerating every sign pattern (n <= 20).
+    """Global minimizer by an exact dynamic program over the sign walk.
 
     Valid because the u-subproblem at fixed t is strictly concave on
     the box (checked here via 2 * op_norm_SstarS < 1), so the global
     minimizer is the apex or a vertex point t(sigma) * (1, sigma); the
     apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m)
-    and coincides with every ray optimum when h = 0.  Patterns are
-    compared by their integer walk energy, so ties are exact (sigma and
-    -sigma always tie).  Among tied patterns the lexicographically
-    smallest wins, ordering +1 before -1; enumeration runs in exactly
-    that order, so the first strict minimum is kept.  tie_count reports
-    the number of tied patterns.  iterations counts evaluated patterns.
+    and coincides with every ray optimum when h = 0.
+
+    The best pattern minimizes the integer walk energy E(sigma), a sum
+    of per-cell costs |b^3 - a^3| of the +/-1 walk stepping from height
+    a to b = a + sigma_k.  A walk reaching height r therefore costs at
+    least |r|^3, so heights with r^3 above the energy of the alternating
+    pattern carry neither a minimizer nor a tie, and the walk states
+    are the O(n^(1/3)) heights below that bound.  A backward pass gives
+    the minimal cost-to-go of every (cell, height) and the exact number
+    of minimizing continuations (a Python int: 2^ceil(n/2) overflows
+    int64); a greedy forward pass then picks +1 wherever it stays
+    optimal, giving the lexicographically smallest minimizer (+1 before
+    -1).  tie_count reports the number of tied patterns (sigma and
+    -sigma always tie); iterations counts the cells (stages) of the
+    program.
     """
     n = mesh.n
-    if n > BRUTE_FORCE_MAX_CELLS:
-        raise BruteForceSizeError(
-            f"enumeration needs 2^n patterns and is capped at n = "
-            f"{BRUTE_FORCE_MAX_CELLS} (got n = {n}); use solve_bangbang or solve_pgd"
-        )
     op_norm_SstarS(mesh)  # raises unless 2 lambda_max < 1, the reduction's premise
     opts = SolverOptions()
     if h == 0:
@@ -390,14 +366,29 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
         return _build_report(
             0.0, "brute", ConePoint.apex(mesh), 0, True, opts, tie_count=2**n
         )
-    total = 1 << n
-    best, best_idx, ties = np.inf, 0, 0
-    for base in range(0, total, _ENUM_CHUNK):
-        energy = walk_energy(sign_patterns(n, base, min(base + _ENUM_CHUNK, total)))
-        k = int(np.argmin(energy))
-        if energy[k] < best:
-            best, best_idx, ties = energy[k], base + k, 0
-        if energy[k] == best:
-            ties += int(np.count_nonzero(energy == best))
-    p = _ray_optimum(h, mesh, sign_patterns(n, best_idx, best_idx + 1)[0].astype(float))
-    return _build_report(h, "brute", p, total, True, opts, tie_count=ties)
+    bound = int(walk_energy(alternating_signs(n).astype(np.int64)))
+    r = 1
+    while (r + 1) ** 3 <= bound:
+        r += 1
+    heights = np.arange(-r, r + 1, dtype=np.int64)
+    up = 3 * heights * heights + 3 * heights + 1  # cost of a +1 step
+    down = up - 6 * heights  # cost of a -1 step
+    # Cost-to-go and tie counts per (cell, height), padded by one
+    # unreachable height on each side of the band.
+    togo = np.zeros((n + 1, heights.size + 2), dtype=np.int64)
+    togo[:, [0, -1]] = np.iinfo(np.int64).max // 2
+    ways = np.zeros(heights.size + 2, dtype=object)
+    ways[1:-1] = 1
+    for k in range(n - 1, -1, -1):
+        via_up, via_down = up + togo[k + 1, 2:], down + togo[k + 1, :-2]
+        best = togo[k, 1:-1] = np.minimum(via_up, via_down)
+        ways[1:-1] = np.where(via_up == best, ways[2:], 0) + np.where(
+            via_down == best, ways[:-2], 0
+        )
+    signs = np.empty(n)
+    a = r + 1  # padded index of height 0
+    for k in range(n):
+        signs[k] = 1 if up[a - 1] + togo[k + 1, a + 1] == togo[k, a] else -1
+        a += int(signs[k])
+    p = _ray_optimum(h, mesh, signs)
+    return _build_report(h, "brute", p, n, True, opts, tie_count=int(ways[r + 1]))

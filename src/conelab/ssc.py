@@ -23,7 +23,7 @@ from .cone import ConePoint, InfeasiblePointError, contains, norm_X_sq, stationa
 from .grid import GridFunction, Mesh, l2_norm_sq
 from .objective import gradient, hessian_form
 from .operators import norm_S_sq, walk_energy
-from .solvers import alternating_signs, sign_patterns
+from .solvers import alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
@@ -103,7 +103,7 @@ class CoercivityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class GrowthReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 def _direction_rows(mesh: Mesh, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +140,9 @@ def _direction_rows(mesh: Mesh, samples: int, rng: np.random.Generator) -> np.nd
     rows.append(np.zeros((1, n)))
     rows.append(alternating_signs(n)[None, :])
     if n <= 12:
-        rows.append(sign_patterns(n, 0, 2**n))
+        # bit k of the row index, from the most significant, marks cell k as -1
+        idx = np.arange(2**n)[:, None]
+        rows.append(1 - 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1))
     return np.vstack(rows)
 
 

@@ -141,7 +141,7 @@ def test_criterion_4_solver_agreement():
     ok = ok and abs(four.objective + 12.0 / 25.0) <= 1e-12
     ok = ok and abs(four.minimizer.t - 24.0 / 25.0) <= 1e-12
     detail = (
-        "descent matches enumeration on every grid up to 12 cells "
+        "descent matches the exact global solver on every grid up to 12 cells "
         f"(worst gap {worst_gap:.2e}); gradient runs end at certified "
         "stationary points; the 2- and 4-cell closed forms are reproduced"
     )

@@ -1,5 +1,6 @@
 """Sweep driver, report rows, and the atomic table writer."""
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -36,8 +37,6 @@ def test_sweep_config_validation():
         SweepConfig(h_list=[0.1], n_list=[0])
     with pytest.raises(ValueError):
         SweepConfig(h_list=[0.1], n_list=[4], method="simplex")
-    with pytest.raises(ValueError):
-        SweepConfig(h_list=[0.1], n_list=[25], method="brute")
     with pytest.raises(ValueError):
         SweepConfig(h_list=[0.1], n_list=[4], format="xml")
     # an untilted column is legitimate
@@ -201,6 +200,10 @@ def test_write_rows_errors(tmp_path):
         write_rows([], str(tmp_path / "empty.csv"))
     with pytest.raises(ValueError):
         write_rows(rows, str(tmp_path / "t.yaml"), format="yaml")
+    nan_rows = [dataclasses.replace(rows[0], f_star=float("nan"))]
+    with pytest.raises(ValueError):  # strict JSON has no NaN
+        write_rows(nan_rows, str(tmp_path / "nan.json"), format="json")
+    assert not (tmp_path / "nan.json").exists()
     missing = os.path.join(str(tmp_path), "no-such-dir", "t.csv")
     with pytest.raises(OSError, match="no-such-dir"):
         write_rows(rows, missing)

@@ -15,8 +15,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conelab import (
-    BRUTE_FORCE_MAX_CELLS,
-    BruteForceSizeError,
     ConePoint,
     GridFunction,
     InfeasiblePointError,
@@ -76,10 +74,6 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_rule="newton")
-    with pytest.raises(ValueError):
-        SolverOptions(initial_step=0.0)
 
 
 def test_bruteforce_two_cells():
@@ -90,7 +84,7 @@ def test_bruteforce_two_cells():
     assert_allclose(report.minimizer.u.values, [t, -t], atol=1e-14)
     assert report.tie_count == 2
     assert report.sign_changes == 1
-    assert report.iterations == 4
+    assert report.iterations == 2
     assert report.converged
     assert report.stationarity <= 1e-12
     assert report.pontryagin_residual <= 1e-12
@@ -120,7 +114,7 @@ def test_bruteforce_untilted_returns_the_apex():
 
 
 def test_bruteforce_against_exact_oracle():
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in range(1, 10):
         for h in (Fraction(1), Fraction(7, 10)):
             sigma, t, f, ties = _oracle_bruteforce(n, h)
             report = solve_bruteforce(float(h), Mesh(n))
@@ -140,12 +134,13 @@ def _closed_form(h, n):
 
 def test_bruteforce_closed_form_at_every_size_up_to_the_cap():
     h = 1.0
-    for n in range(1, BRUTE_FORCE_MAX_CELLS + 1):
+    for n in [*range(1, 65), 1000, 4096]:
         report = solve_bruteforce(h, Mesh(n))
         f, t = _closed_form(h, n)
         assert_allclose(report.objective, f, rtol=1e-12)
         assert_allclose(report.minimizer.t, t, rtol=1e-12)
         assert report.tie_count == 2 ** ((n + 1) // 2)
+        assert np.array_equal(np.sign(report.minimizer.u.values), alternating_signs(n))
 
 
 def test_bangbang_closed_form_on_a_fine_mesh():
@@ -156,11 +151,6 @@ def test_bangbang_closed_form_on_a_fine_mesh():
     assert_allclose(report.minimizer.t, t, rtol=1e-12)
     assert report.sign_changes == n - 1
     assert report.converged
-
-
-def test_bruteforce_size_guard():
-    with pytest.raises(BruteForceSizeError):
-        solve_bruteforce(1.0, Mesh(21))
 
 
 def test_bangbang_two_and_four_cells():
@@ -284,16 +274,6 @@ def test_pgd_monotone_descent():
         values.append(report.objective)
         assert contains(report.minimizer)
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_pgd_fixed_step_rule():
-    mesh = Mesh(4)
-    rng = np.random.default_rng(53)
-    opts = SolverOptions(step_rule="fixed", initial_step=0.3)
-    report = solve_pgd(0.8, mesh, random_feasible_point(mesh, rng), opts)
-    assert contains(report.minimizer)
-    if report.converged:
-        assert report.stationarity <= opts.tolerance
 
 
 def test_converged_implies_stationarity_below_tolerance():
