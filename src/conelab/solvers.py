@@ -10,7 +10,9 @@
   the best pattern therefore means minimizing m over sign vectors, and
   m = (width^3 / 6) sigma' K6 sigma = (width^3 / 3) E(sigma) with the
   integer matrix K6 and the integer walk energy E of operators, so all
-  pattern comparisons are exact integer comparisons.
+  pattern comparisons are exact integer comparisons.  A sweep reads
+  every flip gain from running prefix and suffix sums of the signs,
+  O(n) per sweep with no K6 sigma vector.
 * solve_bruteforce: the exact global minimum over all 2^n sign
   patterns, by dynamic programming over the partial-sum walk of the
   pattern (n stages of O(n^(1/3)) states, any n), the oracle the
@@ -23,6 +25,8 @@ The vertex reduction is asserted at runtime: solve_bruteforce checks
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,7 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import gradient, quadratic_decrease, value
-from .operators import _k6_times, apply_SstarS, norm_S_sq, op_norm_SstarS, walk_energy
+from .operators import apply_SstarS, norm_S_sq, op_norm_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
 
@@ -86,7 +90,21 @@ class SolveReport:
     tie_count: int | None = None
     nonvertex_cells: int = 0
 
+    @property
+    def tie_count_log2(self) -> float | None:
+        return None if self.tie_count is None else math.log2(self.tie_count)
+
     def as_dict(self) -> dict:
+        """The report as plain data.
+
+        tie_count is null when its decimal form is longer than the
+        interpreter converts (sys.get_int_max_str_digits); tie_count_log2
+        still gives its size then.
+        """
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        tie_count = self.tie_count
+        if tie_count is not None and limit and tie_count >= 10**limit:
+            tie_count = None
         return {
             "minimizer": {"t": self.minimizer.t, "u": self.minimizer.u.values.tolist()},
             "objective": self.objective,
@@ -96,7 +114,8 @@ class SolveReport:
             "pontryagin_residual": self.pontryagin_residual,
             "sign_changes": self.sign_changes,
             "converged": self.converged,
-            "tie_count": self.tie_count,
+            "tie_count": tie_count,
+            "tie_count_log2": self.tie_count_log2,
             "nonvertex_cells": self.nonvertex_cells,
         }
 
@@ -234,28 +253,47 @@ def solve_pgd(
     return _build_report(h, "pgd", x, steps, reached, opts)
 
 
-def _gain(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> int:
-    # Quarter of the drop in sigma' K6 sigma from flipping cell i.
-    return signs[i] * Ks[i] - (tail[i] - 1)
+def _single_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+    # One left-to-right pass of single flips over s, in place; total is
+    # sum_j tail_j s_j with tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j.  The
+    # cells ahead of i are still untouched, so with P the sum of the
+    # signs before i (this pass's flips included) and Q the sum of
+    # tail_j s_j after i, flipping cell i lowers sigma' K6 sigma by
+    # 4 s_i (tail_i P + Q).  Returns the new total and whether a cell flipped.
+    P, Q, t = 0, total, 6 * len(s) - 3
+    moved = False
+    for i in range(len(s)):
+        si = s[i]
+        Q -= t * si
+        gain = si * (t * P + Q)
+        if (si < 0 and gain == 0) if polish else gain > 0:
+            si = s[i] = -si
+            total += 2 * t * si
+            moved = True
+        P += si
+        t -= 6
+    return total, moved
 
 
-def _pair_gain(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> int:
-    # The same for flipping cells i and i+1 together; K6[i, i+1] = tail[i+1].
-    j = i + 1
-    return (
-        _gain(signs, Ks, tail, i)
-        + _gain(signs, Ks, tail, j)
-        - 2 * signs[i] * signs[j] * tail[j]
-    )
-
-
-def _flip(signs: np.ndarray, Ks: np.ndarray, tail: np.ndarray, i: int) -> None:
-    # Column i of K6 is tail[max(i, k)] - [k = i] in row k.
-    signs[i] = -signs[i]
-    d = 2 * signs[i]
-    Ks[: i + 1] += d * tail[i]
-    Ks[i + 1 :] += d * tail[i + 1 :]
-    Ks[i] -= d
+def _pair_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+    # The same for flipping cells i and i+1 together.  The two single
+    # gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum
+    # to (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R with R the
+    # sum of tail_j s_j after i+1.
+    P, t = 0, 6 * len(s) - 3
+    Q = total - t * s[0]
+    moved = False
+    for i in range(len(s) - 1):
+        si, sj, u = s[i], s[i + 1], t - 6
+        R = Q - u * sj
+        gain = (si * t + sj * u) * P + (si + sj) * R
+        if (si < 0 and gain == 0) if polish else gain > 0:
+            si, sj = s[i], s[i + 1] = -si, -sj
+            total += 2 * (t * si + u * sj)
+            moved = True
+        P += si
+        Q, t = R, u
+    return total, moved
 
 
 def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
@@ -273,17 +311,22 @@ def solve_bangbang(
     """Descend on sign patterns until no cellwise move improves.
 
     Works on m(sigma) = ||S sigma||^2 = (width^3 / 6) sigma' K6 sigma,
-    which alone determines the ray optimum t = h / (1 + 2 m), and keeps
-    the integer vector K6 sigma, so every gain below is an exact integer.
-    A sweep applies, in order: single flips with positive gain (flipping
-    cell i changes sigma' K6 sigma by 4 (K6_ii - sigma_i (K6 sigma)_i),
-    so the improvement test is sigma_i (K6 sigma)_i > K6_ii), adjacent
-    pair flips with positive gain (these escape the stalls single flips
-    hit on domain walls), and, once no gaining move exists, zero-gain
-    flips that turn the earliest possible -1 into +1.  The last pass
-    walks the plateau of tied patterns to its lexicographically smallest
-    member (+1 before -1) without changing m, so tied runs land on one
-    canonical pattern.
+    which alone determines the ray optimum t = h / (1 + 2 m).  A sweep
+    applies, in order, left to right: single flips with positive gain
+    (flipping cell i lowers sigma' K6 sigma by 4 (sigma_i (K6 sigma)_i -
+    K6_ii)), adjacent pair flips with positive gain (these escape the
+    stalls single flips hit on domain walls), and, once no gaining move
+    exists, zero-gain flips that turn the earliest possible -1 into +1.
+    The last pass walks the plateau of tied patterns to its
+    lexicographically smallest member (+1 before -1) without changing m,
+    so tied runs land on one canonical pattern.
+
+    Within a pass the cells ahead of the current one are untouched, so
+    each gain is an exact integer from two running sums: the sum of the
+    signs behind the cell and the sum of tail_j sigma_j over the cells
+    ahead of it, where tail_j = 6 n + 3 - 6 j (1-based) is K6[k, j] for
+    every k < j.  A pass is O(n) on Python ints; no K6 sigma vector is
+    kept.
 
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot
@@ -300,38 +343,21 @@ def solve_bangbang(
     if h == 0:
         apex = ConePoint.apex(mesh)
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
-    n = mesh.n
-    s = signs.astype(np.int64)
-    Ks = _k6_times(s)
-    tail = 6 * n + 3 - 6 * np.arange(1, n + 1, dtype=np.int64)
+    s = signs.astype(np.int64).tolist()
+    total = sum((6 * len(s) - 3 - 6 * j) * x for j, x in enumerate(s))
     sweeps = 0
     settled = False
     while sweeps < opts.max_iterations:
         sweeps += 1
-        moved = False
-        for i in range(n):
-            if _gain(s, Ks, tail, i) > 0:
-                _flip(s, Ks, tail, i)
-                moved = True
-        for i in range(n - 1):
-            if _pair_gain(s, Ks, tail, i) > 0:
-                _flip(s, Ks, tail, i)
-                _flip(s, Ks, tail, i + 1)
-                moved = True
-        if not moved:
-            for i in range(n):
-                if s[i] < 0 and _gain(s, Ks, tail, i) == 0:
-                    _flip(s, Ks, tail, i)
-                    moved = True
-            for i in range(n - 1):
-                if s[i] < 0 and _pair_gain(s, Ks, tail, i) == 0:
-                    _flip(s, Ks, tail, i)
-                    _flip(s, Ks, tail, i + 1)
-                    moved = True
-        if not moved:
-            settled = True
-            break
-    p = _ray_optimum(h, mesh, s.astype(float))
+        total, single = _single_flips(s, total, polish=False)
+        total, pair = _pair_flips(s, total, polish=False)
+        if not (single or pair):
+            total, single = _single_flips(s, total, polish=True)
+            total, pair = _pair_flips(s, total, polish=True)
+            if not (single or pair):
+                settled = True
+                break
+    p = _ray_optimum(h, mesh, np.array(s, dtype=float))
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 
 

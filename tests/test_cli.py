@@ -40,6 +40,22 @@ def test_solve_command_bruteforce():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["tie_count"] == 2**13
+    assert payload["tie_count_log2"] == 13
+    assert payload["converged"] is True
+
+
+def test_solve_command_bruteforce_past_the_int_string_limit():
+    # 2^15000 tied patterns: 4516 decimal digits, more than Python's default
+    # int/str conversion limit, so the exact count is reported as null
+    result = run_cli("solve", "--method", "brute", "--n", "30000", "--h", "0.1")
+    assert result.returncode == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(result.stdout, parse_constant=reject)
+    assert payload["tie_count"] is None
+    assert payload["tie_count_log2"] == 15000
     assert payload["converged"] is True
 
 

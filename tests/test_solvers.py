@@ -4,10 +4,15 @@ The oracle rebuilds the Gram matrix of the running-integral operator in
 rational arithmetic (same antiderivative route as the operator tests),
 enumerates every sign pattern with Fractions, and applies the documented
 tie-break; no floating-point shortcut of the implementation is reused.
+Bang-bang descent is also held byte for byte to a reference that keeps
+the vector K6 sigma and updates it column by column on every flip.
 """
 
+import dataclasses
 import itertools
 import json
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +36,10 @@ from conelab import (
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
+    solvers,
     value,
 )
+from conelab.operators import _k6_times
 
 
 def _exact_gram(n):
@@ -144,13 +151,87 @@ def test_bruteforce_closed_form_at_every_size_up_to_the_cap():
 
 
 def test_bangbang_closed_form_on_a_fine_mesh():
-    h, n = 1.0, 1024
-    report = solve_bangbang(h, Mesh(n), all_plus_signs(n))
-    f, t = _closed_form(h, n)
-    assert_allclose(report.objective, f, rtol=1e-12)
-    assert_allclose(report.minimizer.t, t, rtol=1e-12)
-    assert report.sign_changes == n - 1
-    assert report.converged
+    # the sweep counts from all-plus pin the visit order of the moves
+    h = 1.0
+    for n, sweeps in {512: 28, 1024: 37, 2048: 56, 4096: 74}.items():
+        report = solve_bangbang(h, Mesh(n), all_plus_signs(n))
+        f, t = _closed_form(h, n)
+        assert_allclose(report.objective, f, rtol=1e-12)
+        assert_allclose(report.minimizer.t, t, rtol=1e-12)
+        assert report.sign_changes == n - 1
+        assert report.converged
+        assert report.iterations == sweeps
+
+
+def _reference_bangbang(h, mesh, start, opts):
+    """Bang-bang descent that keeps the integer vector K6 sigma.
+
+    Every gain is read from K6 sigma, which each flip updates in O(n)
+    with a closed-form column of K6; the moves, their order and the
+    sweep count are those documented for solve_bangbang.
+    """
+    n = mesh.n
+    s = np.array(start, dtype=np.int64)
+    Ks = _k6_times(s)
+    tail = 6 * n + 3 - 6 * np.arange(1, n + 1, dtype=np.int64)
+
+    def gain(i):
+        # quarter of the drop in sigma' K6 sigma from flipping cell i
+        return s[i] * Ks[i] - (tail[i] - 1)
+
+    def pair_gain(i):
+        # the same for cells i and i+1 together; K6[i, i+1] = tail[i+1]
+        return gain(i) + gain(i + 1) - 2 * s[i] * s[i + 1] * tail[i + 1]
+
+    def flip(i):
+        # column i of K6 is tail[max(i, k)] - [k = i] in row k
+        s[i] = -s[i]
+        d = 2 * s[i]
+        Ks[: i + 1] += d * tail[i]
+        Ks[i + 1 :] += d * tail[i + 1 :]
+        Ks[i] -= d
+
+    sweeps, settled = 0, False
+    while sweeps < opts.max_iterations:
+        sweeps += 1
+        moved = False
+        for i in range(n):
+            if gain(i) > 0:
+                flip(i)
+                moved = True
+        for i in range(n - 1):
+            if pair_gain(i) > 0:
+                flip(i)
+                flip(i + 1)
+                moved = True
+        if not moved:
+            for i in range(n):
+                if s[i] < 0 and gain(i) == 0:
+                    flip(i)
+                    moved = True
+            for i in range(n - 1):
+                if s[i] < 0 and pair_gain(i) == 0:
+                    flip(i)
+                    flip(i + 1)
+                    moved = True
+        if not moved:
+            settled = True
+            break
+    p = solvers._ray_optimum(h, mesh, s.astype(float))
+    return solvers._build_report(h, "bangbang", p, sweeps, settled, opts)
+
+
+def test_bangbang_matches_the_k6_vector_reference():
+    rng = np.random.default_rng(2024)
+    h = 0.1
+    for n in [*range(1, 65), 257, 600]:
+        mesh = Mesh(n)
+        starts = [rng.choice([-1.0, 1.0], size=n) for _ in range(2 if n > 64 else 3)]
+        for start in starts:
+            for cap in (1, 3, SolverOptions().max_iterations):
+                opts = SolverOptions(max_iterations=cap)
+                expected = _reference_bangbang(h, mesh, start, opts).to_json()
+                assert solve_bangbang(h, mesh, start, opts).to_json() == expected
 
 
 def test_bangbang_two_and_four_cells():
@@ -355,5 +436,18 @@ def test_report_serialization():
     assert parsed["tie_count"] is None
     assert len(parsed["minimizer"]["u"]) == 2
     assert parsed["converged"] is True
+    assert parsed["tie_count_log2"] is None
     brute = json.loads(solve_bruteforce(1.0, Mesh(2)).to_json())
     assert brute["tie_count"] == 2
+    assert brute["tie_count_log2"] == 1.0
+
+
+def test_report_tie_count_past_the_int_string_limit():
+    # exact while its decimal form converts, null (with its log2) after
+    report = solve_bruteforce(1.0, Mesh(2))
+    digits = sys.get_int_max_str_digits()
+    fits = dataclasses.replace(report, tie_count=10**digits - 1).as_dict()
+    assert fits["tie_count"] == 10**digits - 1
+    too_long = json.loads(dataclasses.replace(report, tie_count=10**digits).to_json())
+    assert too_long["tie_count"] is None
+    assert too_long["tie_count_log2"] == pytest.approx(digits * math.log2(10))
