@@ -19,6 +19,7 @@ import sys
 from .cone import ConePoint
 from .grid import Mesh
 from .experiments import (
+    _FORMATS,
     _METHODS,
     SweepConfig,
     perturbation_sweep,
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--method", choices=_METHODS, default="bangbang")
     sweep.add_argument("--out", required=True, help="output file path")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--format", choices=_FORMATS, default="csv")
     sweep.set_defaults(func=_cmd_sweep)
 
     growth = sub.add_parser(

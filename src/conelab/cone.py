@@ -95,14 +95,14 @@ def project(p: ConePoint) -> ConePoint:
     return ConePoint(tau_star, GridFunction(p.mesh, np.clip(u, -tau_star, tau_star)))
 
 
-def stationarity_residual(p: ConePoint, g: ConePoint, feas_tol: float = 1e-10) -> float:
+def stationarity_residual(p: ConePoint, g: ConePoint) -> float:
     """Norm of p - project(p - g), the fixed-point defect of a unit
 
     projected-gradient step.  Zero exactly when -g lies in the normal
     cone at p, so this certifies first-order optimality when g is the
     gradient there.
     """
-    if not contains(p, feas_tol):
+    if not contains(p, 1e-10):
         raise InfeasiblePointError("stationarity is only defined on the cone")
     if p.mesh != g.mesh:
         raise ValueError("point and gradient live on different meshes")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cone import ConePoint, norm_X, project
 from .grid import GridFunction, Mesh
@@ -93,7 +93,6 @@ class SweepConfig:
     h_list: tuple
     n_list: tuple
     method: str = "bangbang"
-    opts: SolverOptions = field(default_factory=SolverOptions)
     output_path: str = ""
     format: str = "csv"
 
@@ -158,14 +157,12 @@ def perturbation_sweep(cfg: SweepConfig) -> list[SweepRow]:
     for h in cfg.h_list:
         for n in cfg.n_list:
             mesh = Mesh(n)
-            report = solve_with_canonical_start(h, mesh, cfg.method, cfg.opts)
+            report = solve_with_canonical_start(h, mesh, cfg.method)
             rows.append(_make_row(h, mesh, report, DELTA_CERTIFIED))
     return rows
 
 
-def stability_report(
-    h: float, mesh: Mesh, delta: float, opts: SolverOptions | None = None
-) -> StabilityRecord:
+def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     """Audit the bound ||minimizer|| <= 2 h / delta at one (h, mesh).
 
     delta is the quadratic-growth constant to audit against: the
@@ -175,7 +172,7 @@ def stability_report(
     check_tilt(h)
     if not delta > 0:
         raise ValueError("delta must be positive")
-    report = solve_with_canonical_start(h, mesh, "bangbang", opts)
+    report = solve_with_canonical_start(h, mesh, "bangbang")
     row = _make_row(h, mesh, report, delta)
     return StabilityRecord(row=row, delta=float(delta), slack=row.prop2_bound - row.norm_x)
 

@@ -73,9 +73,6 @@ class PontryaginCheck:
     residual: float
     nonvertex_cells: int
 
-    def as_dict(self) -> dict:
-        return {"residual": self.residual, "nonvertex_cells": self.nonvertex_cells}
-
 
 @dataclass(frozen=True)
 class SolveReport:

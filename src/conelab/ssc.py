@@ -9,7 +9,8 @@ the Hessian form dominates a multiple of the squared norm:
 
 since t^2 >= ||d||^2 / 2 on the cone.  coercivity_certificate checks
 this chain link by link on a concrete direction; the sampled estimates
-below measure how much slack the bound leaves.
+below measure how much slack the bound leaves.  Since 2 f_0 = f'', both
+come from one streamed pass over the sampled directions.
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConePoint, InfeasiblePointError, contains, norm_X_sq, stationarity_residual
+from .cone import ConePoint, InfeasiblePointError, contains, stationarity_residual
 from .grid import GridFunction, Mesh, l2_norm_sq
-from .objective import gradient, hessian_form
+from .objective import gradient
 from .operators import norm_S_sq, walk_energy
 from .solvers import alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
+
+# cells per block of sampled rows: the pass holds max(1, _BLOCK_CELLS // n)
+# rows at a time, so its memory does not grow with the sample count
+_BLOCK_CELLS = 2**18
 
 
 def check_stationarity(h: float, p: ConePoint) -> float:
@@ -44,14 +49,22 @@ class ChainLink:
     passed: bool
     slack: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "slack": self.slack,
-        }
+
+def _chain(t2, image, comp):
+    """The form f''(d, d), the norm ||d||^2 and the four chain links.
+
+    t2 = t^2, image = ||S u||^2 and comp = ||u||^2, as scalars or as
+    arrays of directions; each link is (name, lhs, rhs) for lhs <= rhs.
+    """
+    form = 2.0 * t2 + 2.0 * image - comp
+    nsq = t2 + comp
+    links = (
+        ("image_energy_bound", image, t2 / 3.0),
+        ("component_energy_bound", comp, t2),
+        ("form_lower_bound", t2 / 3.0, form),
+        ("coercivity_bound", nsq / 6.0, form),
+    )
+    return form, nsq, links
 
 
 def coercivity_certificate(d: ConePoint, tol: float = 1e-10) -> list[ChainLink]:
@@ -62,24 +75,14 @@ def coercivity_certificate(d: ConePoint, tol: float = 1e-10) -> list[ChainLink]:
     """
     if not contains(d, tol):
         raise InfeasiblePointError("certificate directions must lie in the cone")
-    nsq = norm_X_sq(d)
+    t2 = d.t * d.t
+    _, nsq, links = _chain(t2, norm_S_sq(d.u), l2_norm_sq(d.u))
     if nsq == 0.0:
         raise ValueError("certificate directions must be nonzero")
-    t2 = d.t * d.t
     scale = tol * max(1.0, t2)
-    image = norm_S_sq(d.u)
-    comp = l2_norm_sq(d.u)
-    form = hessian_form(d)
-    links = [
-        ChainLink("image_energy_bound", image, t2 / 3.0, image <= t2 / 3.0 + scale,
-                  t2 / 3.0 - image),
-        ChainLink("component_energy_bound", comp, t2, comp <= t2 + scale, t2 - comp),
-        ChainLink("form_lower_bound", t2 / 3.0, form, t2 / 3.0 <= form + scale,
-                  form - t2 / 3.0),
-        ChainLink("coercivity_bound", nsq / 6.0, form, nsq / 6.0 <= form + scale,
-                  form - nsq / 6.0),
+    return [
+        ChainLink(name, lhs, rhs, lhs <= rhs + scale, rhs - lhs) for name, lhs, rhs in links
     ]
-    return links
 
 
 @dataclass(frozen=True)
@@ -128,22 +131,48 @@ class GrowthReport:
         return json.dumps(self.as_dict(), allow_nan=False)
 
 
-def _direction_rows(mesh: Mesh, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Cell-value rows of sampled cone directions, all with t = 1.
+def _row_blocks(n: int, samples: int, rng: np.random.Generator):
+    """Cell-value rows of sampled cone directions d = (1, u), in blocks.
 
-    samples uniform rows u_i ~ U(-1, 1), then deterministic extras: the
-    pure scalar direction u = 0, the alternating sign pattern, and for
-    n <= 12 every vertex pattern u = sigma.
+    samples uniform rows u_i ~ U(-1, 1) (the numbers of one (samples, n)
+    draw), then a block of extras: u = 0, the alternating sign pattern,
+    and for n <= 12 every vertex pattern u = sigma.
     """
-    n = mesh.n
-    rows = [rng.uniform(-1.0, 1.0, size=(samples, n))]
-    rows.append(np.zeros((1, n)))
-    rows.append(alternating_signs(n)[None, :])
+    block = max(1, _BLOCK_CELLS // n)
+    for start in range(0, samples, block):
+        yield rng.uniform(-1.0, 1.0, size=(min(block, samples - start), n))
+    extras = [np.zeros((1, n)), alternating_signs(n)[None, :]]
     if n <= 12:
         # bit k of the row index, from the most significant, marks cell k as -1
         idx = np.arange(2**n)[:, None]
-        rows.append(1 - 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1))
-    return np.vstack(rows)
+        extras.append(1 - 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1))
+    yield np.vstack(extras)
+
+
+def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator, tol: float):
+    """Stream the sampled directions once, keeping only the running minimum.
+
+    Returns (ratio, index, row, nsq, rows, chain_passed): the smallest
+    f''(d, d) / ||d||^2, the global index, cell values and ||d||^2 of
+    the first row attaining it, the number of rows, and whether every
+    row passed the four chain links within tol.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    width = mesh.width
+    best = (np.inf, 0, None, 0.0)
+    rows, passed = 0, True
+    for U in _row_blocks(mesh.n, samples, rng):
+        image = width**3 / 3.0 * walk_energy(U)
+        comp = width * np.sum(U * U, axis=1)
+        form, nsq, links = _chain(1.0, image, comp)
+        passed = passed and all(np.all(lhs <= rhs + tol) for _, lhs, rhs in links)
+        ratios = form / nsq
+        k = int(np.argmin(ratios))
+        if ratios[k] < best[0]:
+            best = (float(ratios[k]), rows + k, U[k].copy(), float(nsq[k]))
+        rows += U.shape[0]
+    return (*best, rows, bool(passed))
 
 
 def coercivity_estimate(
@@ -155,29 +184,14 @@ def coercivity_estimate(
     over the sampled directions; chain_checks_passed records whether
     the certificate chain held on every one of them.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    U = _direction_rows(mesh, samples, rng)
-    width = mesh.width
-    image = width**3 / 3.0 * walk_energy(U)
-    comp = width * np.sum(U * U, axis=1)
-    form = 2.0 + 2.0 * image - comp
-    nsq = 1.0 + comp
-    ratios = form / nsq
-    chain = (
-        np.all(image <= 1.0 / 3.0 + tol)
-        and np.all(comp <= 1.0 + tol)
-        and np.all(1.0 / 3.0 <= form + tol)
-        and np.all(nsq / 6.0 <= form + tol)
-    )
-    worst = int(np.argmin(ratios))
+    beta, _, row, _, _, passed = _sampled_pass(mesh, samples, rng, tol)
     return CoercivityReport(
-        beta_estimate=float(ratios[worst]),
+        beta_estimate=beta,
         beta_certified=BETA_CERTIFIED,
         samples=samples,
-        worst_direction=ConePoint(1.0, GridFunction(mesh, U[worst])),
-        chain_checks_passed=bool(chain),
+        worst_direction=ConePoint(1.0, GridFunction(mesh, row)),
+        chain_checks_passed=passed,
     )
 
 
@@ -186,30 +200,20 @@ def growth_estimate(
 ) -> GrowthReport:
     """Sampled quadratic-growth constant of the untilted objective.
 
-    Scales each sampled direction to a random norm in (0, epsilon] and
-    returns the smallest value of 2 f_0(x) / ||x||^2.  The certified
-    lower bound for this instance is 1/2: on the cone f_0(x) >= t^2 -
-    ||u||^2 / 2 >= t^2 / 2 >= ||x||^2 / 4.
+    2 f_0(x) = f''(x, x), so the smallest 2 f_0(x) / ||x||^2 is the
+    beta_estimate of the same directions; worst_point is the worst one
+    scaled to a random norm in (0, epsilon].  The certified lower bound
+    is 1/2: on the cone f_0(x) >= t^2 - ||u||^2 / 2 >= ||x||^2 / 4.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(seed)
-    U = _direction_rows(mesh, samples, rng)
-    width = mesh.width
-    nsq = 1.0 + width * np.sum(U * U, axis=1)
-    scales = epsilon * (1.0 - rng.uniform(0.0, 1.0, size=U.shape[0])) / np.sqrt(nsq)
-    T = scales.copy()
-    U = U * scales[:, None]
-    image = width**3 / 3.0 * walk_energy(U)
-    comp = width * np.sum(U * U, axis=1)
-    f0 = T * T + image - 0.5 * comp
-    ratios = 2.0 * f0 / (T * T + comp)
-    worst = int(np.argmin(ratios))
+    delta, index, row, nsq, rows, _ = _sampled_pass(mesh, samples, rng, 1e-10)
+    radius = 1.0 - rng.uniform(0.0, 1.0, size=rows)[index]
+    scale = epsilon * radius / np.sqrt(nsq)
     return GrowthReport(
-        delta_estimate=float(ratios[worst]),
+        delta_estimate=delta,
         epsilon=float(epsilon),
         samples=samples,
-        worst_point=ConePoint(float(T[worst]), GridFunction(mesh, U[worst])),
+        worst_point=ConePoint(float(scale), GridFunction(mesh, row * scale)),
     )

@@ -27,6 +27,25 @@ def test_verify_ssc_command():
     assert "beta" in result.stderr
 
 
+def test_verify_ssc_memory_is_bounded_in_samples():
+    # the child reports its own peak RSS: RUSAGE_CHILDREN would keep the
+    # maximum of every earlier test's subprocess
+    child = (
+        "import contextlib, io, resource\n"
+        "from conelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify-ssc', '--n', '8192', '--samples', '4000'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0
+    # one 4000 x 8192 array of doubles alone would take 250 MiB
+    assert peak_kib < 256 * 1024
+
+
 def test_solve_command_bruteforce():
     result = run_cli("solve", "--method", "brute", "--n", "2", "--h", "1.0")
     assert result.returncode == 0

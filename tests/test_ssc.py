@@ -20,6 +20,8 @@ from conelab import (
     norm_X,
     rayleigh_ratio,
 )
+from conelab import ssc
+from conelab.operators import walk_energy
 
 
 def test_check_stationarity_at_the_apex():
@@ -161,3 +163,75 @@ def test_growth_estimate_validation_and_determinism():
     a = growth_estimate(Mesh(8), epsilon=1.0, samples=300, seed=5)
     b = growth_estimate(Mesh(8), epsilon=1.0, samples=300, seed=5)
     assert a.to_json() == b.to_json()
+
+
+def _one_shot(mesh, samples, rng, tol=1e-10):
+    # the evaluation the streamed pass replaced: every row in one
+    # (samples + extras, n) array, one vectorized evaluation
+    n = mesh.n
+    rows = [rng.uniform(-1.0, 1.0, size=(samples, n))]
+    rows.append(np.zeros((1, n)))
+    rows.append(alternating_signs(n)[None, :])
+    if n <= 12:
+        idx = np.arange(2**n)[:, None]
+        rows.append(1 - 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1))
+    U = np.vstack(rows)
+    width = mesh.width
+    image = width**3 / 3.0 * walk_energy(U)
+    comp = width * np.sum(U * U, axis=1)
+    form = 2.0 + 2.0 * image - comp
+    nsq = 1.0 + comp
+    chain = (
+        np.all(image <= 1.0 / 3.0 + tol)
+        and np.all(comp <= 1.0 + tol)
+        and np.all(1.0 / 3.0 <= form + tol)
+        and np.all(nsq / 6.0 <= form + tol)
+    )
+    return U, form / nsq, nsq, bool(chain)
+
+
+def test_sampled_pass_matches_one_shot_reference():
+    for n in (1, 2, 5, 12, 13, 64, 2048):
+        mesh = Mesh(n)
+        block = max(1, ssc._BLOCK_CELLS // n)
+        for samples in (1, block - 1, block, block + 1, 1000):
+            for seed in (0, 7):
+                U, ratios, _, chain = _one_shot(mesh, samples, np.random.default_rng(seed))
+                worst = int(np.argmin(ratios))
+                expected = ssc.CoercivityReport(
+                    beta_estimate=float(ratios[worst]),
+                    beta_certified=BETA_CERTIFIED,
+                    samples=samples,
+                    worst_direction=ConePoint(1.0, GridFunction(mesh, U[worst])),
+                    chain_checks_passed=chain,
+                ).to_json()
+                got = coercivity_estimate(mesh, samples=samples, seed=seed).to_json()
+                assert got == expected, (n, samples, seed)
+
+
+def test_growth_estimate_is_the_coercivity_ratio():
+    # 2 f_0(x) = f''(x, x), so the growth ratio is the Rayleigh ratio of
+    # the same directions whatever radius each is scaled to
+    for n, samples, seed, epsilon in (
+        (5, 1000, 0, 1.0),
+        (1, 10, 1, 0.5),
+        (12, 200, 2, 2.0),
+        (13, 300, 3, 1.0),
+        (300, 1000, 0, 0.25),
+    ):
+        mesh = Mesh(n)
+        beta = coercivity_estimate(mesh, samples=samples, seed=seed)
+        delta = growth_estimate(mesh, epsilon=epsilon, samples=samples, seed=seed)
+        assert delta.delta_estimate == beta.beta_estimate
+        s = delta.worst_point.t
+        assert 0.0 < s
+        np.testing.assert_array_equal(
+            delta.worst_point.u.values, beta.worst_direction.u.values * s
+        )
+        assert norm_X(delta.worst_point) <= epsilon * (1.0 + 1e-12)
+        # the radii are drawn after every row, one per row in row order
+        rng = np.random.default_rng(seed)
+        U, ratios, nsq, _ = _one_shot(mesh, samples, rng)
+        worst = int(np.argmin(ratios))
+        radius = 1.0 - rng.uniform(0.0, 1.0, size=U.shape[0])[worst]
+        assert s == epsilon * radius / np.sqrt(nsq[worst])
