@@ -66,6 +66,12 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     starting from 0, so rows are independent and integer input gives
     an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
     pattern sigma.
+
+    Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
+    = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1.  Reaching
+    height a costs |a|^3, so a walk through a costs at least
+    |a|^3 + (n - |a|): E(sigma) >= n = E(alternating), with equality iff
+    the walk stays in {-1, 0, 1}.
     """
     values = np.asarray(values)
     nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
@@ -116,10 +122,11 @@ def op_norm_SstarS(
     """Largest eigenvalue of S*S on the mesh, by power iteration.
 
     Starts from the constant function, normalizes in L^2, and stops when
-    the Rayleigh quotient changes by less than tol.  The limit increases
-    with refinement toward 4/pi^2, so 2*lambda < 1 always holds; that
-    bound is what lets the solvers reduce the box subproblem to sign
-    patterns, and it is re-checked here at runtime.
+    the Rayleigh quotient changes by less than tol.  norm_S_sq is exact
+    on piecewise constants, so S*S here is a Galerkin compression of the
+    continuous one: lambda increases with refinement toward ||S||^2 =
+    4/pi^2 < 1/2, so 2*lambda < 1 on every mesh, the bound that lets the
+    solvers reduce the box subproblem to sign patterns.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

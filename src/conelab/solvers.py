@@ -15,11 +15,8 @@
   O(n) per sweep with no K6 sigma vector.
 * solve_bruteforce: the exact global minimum over all 2^n sign
   patterns, by dynamic programming over the partial-sum walk of the
-  pattern (n stages of O(n^(1/3)) states, any n), the oracle the
-  iterative methods are tested against.
-
-The vertex reduction is asserted at runtime: solve_bruteforce checks
-2 * op_norm_SstarS(mesh) < 1 before trusting the pattern search.
+  pattern (n stages of three heights, any n), the oracle the iterative
+  methods are tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import gradient, quadratic_decrease, value
-from .operators import apply_SstarS, norm_S_sq, op_norm_SstarS, walk_energy
+from .operators import apply_SstarS, norm_S_sq, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
 
@@ -361,28 +358,26 @@ def solve_bangbang(
 def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
     """Global minimizer by an exact dynamic program over the sign walk.
 
-    Valid because the u-subproblem at fixed t is strictly concave on
-    the box (checked here via 2 * op_norm_SstarS < 1), so the global
+    Valid because the u-subproblem at fixed t is strictly concave on the
+    box (2 lambda_max(S*S) < 1, see op_norm_SstarS), so the global
     minimizer is the apex or a vertex point t(sigma) * (1, sigma); the
-    apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m)
-    and coincides with every ray optimum when h = 0.
+    apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m) and
+    coincides with every ray optimum when h = 0.
 
-    The best pattern minimizes the integer walk energy E(sigma), a sum
-    of per-cell costs |b^3 - a^3| of the +/-1 walk stepping from height
-    a to b = a + sigma_k.  A walk reaching height r therefore costs at
-    least |r|^3, so heights with r^3 above the energy of the alternating
-    pattern carry neither a minimizer nor a tie, and the walk states
-    are the O(n^(1/3)) heights below that bound.  A backward pass gives
-    the minimal cost-to-go of every (cell, height) and the exact number
-    of minimizing continuations (a Python int: 2^ceil(n/2) overflows
-    int64); a greedy forward pass then picks +1 wherever it stays
-    optimal, giving the lexicographically smallest minimizer (+1 before
-    -1).  tie_count reports the number of tied patterns (sigma and
-    -sigma always tie); iterations counts the cells (stages) of the
-    program.
+    The best pattern minimizes the integer walk energy E(sigma).  By the
+    step-cost lemma of operators.walk_energy a walk through height r
+    costs at least |r|^3 + (n - |r|), so with B the energy of the
+    alternating pattern (computed; it equals n) only heights with
+    |r|^3 - |r| <= B - n carry a minimizer or a tie: -1, 0 and 1, A*'s
+    admissible-bound pruning of the Viterbi trellis.  A backward pass
+    gives the minimal cost-to-go of every (cell, height) and the exact
+    number of minimizing continuations (a Python int: 2^ceil(n/2)
+    overflows int64); a greedy forward pass then picks +1 wherever it
+    stays optimal, giving the lexicographically smallest (+1 first)
+    minimizer.  tie_count is the number of tied patterns (sigma and
+    -sigma always tie); iterations counts the cells of the program.
     """
     n = mesh.n
-    op_norm_SstarS(mesh)  # raises unless 2 lambda_max < 1, the reduction's premise
     opts = SolverOptions()
     if h == 0:
         # Every ray optimum is t = 0: all 2^n patterns tie at the apex.
@@ -391,7 +386,7 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
         )
     bound = int(walk_energy(alternating_signs(n).astype(np.int64)))
     r = 1
-    while (r + 1) ** 3 <= bound:
+    while (r + 1) ** 3 - (r + 1) <= bound - n:
         r += 1
     heights = np.arange(-r, r + 1, dtype=np.int64)
     up = 3 * heights * heights + 3 * heights + 1  # cost of a +1 step

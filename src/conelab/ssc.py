@@ -135,18 +135,14 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     """Cell-value rows of sampled cone directions d = (1, u), in blocks.
 
     samples uniform rows u_i ~ U(-1, 1) (the numbers of one (samples, n)
-    draw), then a block of extras: u = 0, the alternating sign pattern,
-    and for n <= 12 every vertex pattern u = sigma.
+    draw), then u = 0 and the alternating pattern.  Every vertex u = sigma
+    has ||u||^2 = 1, and the alternating one has the least walk energy
+    (operators.walk_energy), so it attains the least vertex ratio.
     """
     block = max(1, _BLOCK_CELLS // n)
     for start in range(0, samples, block):
         yield rng.uniform(-1.0, 1.0, size=(min(block, samples - start), n))
-    extras = [np.zeros((1, n)), alternating_signs(n)[None, :]]
-    if n <= 12:
-        # bit k of the row index, from the most significant, marks cell k as -1
-        idx = np.arange(2**n)[:, None]
-        extras.append(1 - 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1))
-    yield np.vstack(extras)
+    yield np.vstack([np.zeros(n), alternating_signs(n)])
 
 
 def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator, tol: float):

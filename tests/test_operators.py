@@ -32,6 +32,7 @@ from conelab import (
     op_norm_SstarS,
     pl_l2_inner,
 )
+from conelab.operators import walk_energy
 
 
 def _exact_nodes(values):
@@ -173,6 +174,19 @@ def test_image_pointwise_bound_on_cone_points():
         assert np.all(np.abs(image.node_values) <= t * mesh.nodes() + 1e-15)
 
 
+def test_walk_energy_step_cost_lemma_on_every_sign_pattern():
+    # E(sigma) >= m^3 + n - m for the walk's largest height m, and E = n
+    # exactly for the 2^ceil(n/2) walks that stay in {-1, 0, 1}
+    for n in range(1, 13):
+        bits = np.arange(2**n)[:, None] >> np.arange(n)
+        sigma = (1 - 2 * (bits & 1)).astype(np.int64)
+        energy = walk_energy(sigma)
+        m = np.abs(np.cumsum(sigma, axis=1)).max(axis=1)
+        assert np.all(energy >= m**3 + n - m)
+        np.testing.assert_array_equal(energy == n, m <= 1)
+        assert np.count_nonzero(m <= 1) == 2 ** ((n + 1) // 2)
+
+
 def test_op_norm_small_meshes():
     # n = 1: S*S acts as multiplication by 1/3
     assert_allclose(op_norm_SstarS(Mesh(1)), 1.0 / 3.0, atol=1e-11)
@@ -184,7 +198,9 @@ def test_op_norm_small_meshes():
 
 def test_op_norm_monotone_and_bounded():
     continuum = 4.0 / np.pi**2
-    values = [op_norm_SstarS(Mesh(n)) for n in (1, 2, 4, 8, 16, 64, 256)]
+    # this carries the premise 2 lambda < 1 that the solvers rely on unchecked
+    sizes = (1, 2, 4, 8, 16, 64, 256, 4096, 65536)
+    values = [op_norm_SstarS(Mesh(n)) for n in sizes]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(v < continuum for v in values)
     assert all(2.0 * v < 1.0 for v in values)

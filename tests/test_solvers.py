@@ -5,7 +5,9 @@ rational arithmetic (same antiderivative route as the operator tests),
 enumerates every sign pattern with Fractions, and applies the documented
 tie-break; no floating-point shortcut of the implementation is reused.
 Bang-bang descent is also held byte for byte to a reference that keeps
-the vector K6 sigma and updates it column by column on every flip.
+the vector K6 sigma and updates it column by column on every flip, and
+the exact solver to the same dynamic program over a wider band of walk
+heights.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from conelab import (
     solvers,
     value,
 )
-from conelab.operators import _k6_times
+from conelab.operators import _k6_times, walk_energy
 
 
 def _exact_gram(n):
@@ -141,13 +143,56 @@ def _closed_form(h, n):
 
 def test_bruteforce_closed_form_at_every_size_up_to_the_cap():
     h = 1.0
-    for n in [*range(1, 65), 1000, 4096]:
+    for n in [*range(1, 65), 1000, 4096, 65536]:
         report = solve_bruteforce(h, Mesh(n))
         f, t = _closed_form(h, n)
         assert_allclose(report.objective, f, rtol=1e-12)
         assert_allclose(report.minimizer.t, t, rtol=1e-12)
         assert report.tie_count == 2 ** ((n + 1) // 2)
         assert np.array_equal(np.sign(report.minimizer.u.values), alternating_signs(n))
+
+
+def _reference_bruteforce(h, mesh):
+    """The exact DP over the wide band of heights r with r^3 <= E(alternating).
+
+    It uses only the weaker bound E >= |r|^3 for a walk through height r,
+    so it keeps about 2 n^(1/3) heights where the solver keeps three.
+    """
+    n = mesh.n
+    bound = int(walk_energy(alternating_signs(n).astype(np.int64)))
+    r = 1
+    while (r + 1) ** 3 <= bound:
+        r += 1
+    heights = np.arange(-r, r + 1, dtype=np.int64)
+    up = 3 * heights * heights + 3 * heights + 1
+    down = up - 6 * heights
+    togo = np.zeros((n + 1, heights.size + 2), dtype=np.int64)
+    togo[:, [0, -1]] = np.iinfo(np.int64).max // 2
+    ways = np.zeros(heights.size + 2, dtype=object)
+    ways[1:-1] = 1
+    for k in range(n - 1, -1, -1):
+        via_up, via_down = up + togo[k + 1, 2:], down + togo[k + 1, :-2]
+        best = togo[k, 1:-1] = np.minimum(via_up, via_down)
+        ways[1:-1] = np.where(via_up == best, ways[2:], 0) + np.where(
+            via_down == best, ways[:-2], 0
+        )
+    signs = np.empty(n)
+    a = r + 1
+    for k in range(n):
+        signs[k] = 1 if up[a - 1] + togo[k + 1, a + 1] == togo[k, a] else -1
+        a += int(signs[k])
+    p = solvers._ray_optimum(h, mesh, signs)
+    return solvers._build_report(
+        h, "brute", p, n, True, SolverOptions(), tie_count=int(ways[r + 1])
+    )
+
+
+def test_bruteforce_matches_the_wide_band_reference():
+    for n in [*range(1, 65), 257, 1000, 4096]:
+        mesh = Mesh(n)
+        for h in (0.1, 1.0):
+            expected = _reference_bruteforce(h, mesh).to_json()
+            assert solve_bruteforce(h, mesh).to_json() == expected, (n, h)
 
 
 def test_bangbang_closed_form_on_a_fine_mesh():

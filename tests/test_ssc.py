@@ -110,8 +110,8 @@ def test_coercivity_estimate_beats_certified_bound_across_meshes():
 
 
 def test_coercivity_estimate_includes_the_vertex_patterns():
-    # at n = 2 the exhaustive vertex minimum is (2 - 1/3 + 2/12 - 1 + ...)
-    # captured by enumerating both sign patterns; the alternating one wins
+    # at n = 2 the least ratio over the box sits at a vertex, and the
+    # alternating pattern, always sampled, attains it
     report = coercivity_estimate(Mesh(2), samples=1, seed=0)
     worst = report.worst_direction.u.values
     assert_allclose(np.abs(worst), [1.0, 1.0], rtol=1e-12)
@@ -149,7 +149,8 @@ def test_growth_estimate_certified_bound():
 
 def test_growth_estimate_known_ratios():
     # the all-plus vertex gives 2 f_0 / ||x||^2 = 2 (5/6) / 2 = 5/6, and
-    # it is enumerated at small n, so the minimum cannot exceed it
+    # the always-sampled alternating vertex has less walk energy, so the
+    # minimum cannot exceed it
     report = growth_estimate(Mesh(4), epsilon=0.5, samples=50, seed=1)
     assert 0.5 - 1e-9 <= report.delta_estimate <= 5.0 / 6.0 + 1e-12
     assert norm_X(report.worst_point) <= 0.5 + 1e-12
