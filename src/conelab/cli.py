@@ -28,8 +28,12 @@ from .experiments import (
     write_rows,
 )
 from .solvers import SolverOptions
-from .ssc import DELTA_CERTIFIED, check_stationarity, coercivity_estimate
-from .ssc import growth_estimate
+from .ssc import (
+    DELTA_CERTIFIED,
+    check_stationarity,
+    coercivity_estimate,
+    growth_estimate,
+)
 
 _STATIONARITY_LIMIT = 1e-12
 _CERTIFIED_SLACK = 1e-9  # rounding allowance of a sampled constant

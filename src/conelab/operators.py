@@ -68,10 +68,9 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     pattern sigma.
 
     Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
-    = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1.  Reaching
-    height a costs |a|^3, so a walk through a costs at least
-    |a|^3 + (n - |a|): E(sigma) >= n = E(alternating), with equality iff
-    the walk stays in {-1, 0, 1}.
+    = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
+    height a costs |a|^3, so a walk through a costs at least |a|^3 + n - |a|:
+    E(sigma) >= n = E(alternating), with equality iff it stays in {-1, 0, 1}.
     """
     values = np.asarray(values)
     nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
@@ -122,11 +121,10 @@ def op_norm_SstarS(
     """Largest eigenvalue of S*S on the mesh, by power iteration.
 
     Starts from the constant function, normalizes in L^2, and stops when
-    the Rayleigh quotient changes by less than tol.  norm_S_sq is exact
-    on piecewise constants, so S*S here is a Galerkin compression of the
-    continuous one: lambda increases with refinement toward ||S||^2 =
-    4/pi^2 < 1/2, so 2*lambda < 1 on every mesh, the bound that lets the
-    solvers reduce the box subproblem to sign patterns.
+    the Rayleigh quotient changes by less than tol.  S*S here is a Galerkin
+    compression of the continuous one (norm_S_sq is exact on piecewise
+    constants), so lambda rises toward ||S||^2 = 4/pi^2 < 1/2 and 2*lambda < 1
+    on every mesh: the bound that reduces the box subproblem to sign patterns.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

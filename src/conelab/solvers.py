@@ -365,17 +365,16 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
     coincides with every ray optimum when h = 0.
 
     The best pattern minimizes the integer walk energy E(sigma).  By the
-    step-cost lemma of operators.walk_energy a walk through height r
-    costs at least |r|^3 + (n - |r|), so with B the energy of the
-    alternating pattern (computed; it equals n) only heights with
-    |r|^3 - |r| <= B - n carry a minimizer or a tie: -1, 0 and 1, A*'s
-    admissible-bound pruning of the Viterbi trellis.  A backward pass
-    gives the minimal cost-to-go of every (cell, height) and the exact
-    number of minimizing continuations (a Python int: 2^ceil(n/2)
-    overflows int64); a greedy forward pass then picks +1 wherever it
-    stays optimal, giving the lexicographically smallest (+1 first)
-    minimizer.  tie_count is the number of tied patterns (sigma and
-    -sigma always tie); iterations counts the cells of the program.
+    step-cost lemma of operators.walk_energy, with B the computed energy
+    of the alternating pattern, only heights with |r|^3 - |r| <= B - n
+    carry a minimizer or a tie: -1, 0 and 1 (A*'s admissible-bound
+    pruning of the Viterbi trellis).  A backward pass gives the minimal
+    cost-to-go of every (cell, height) and the exact number of minimizing
+    continuations (a Python int: 2^ceil(n/2) overflows int64); a greedy
+    forward pass then picks +1 wherever it stays optimal, giving the
+    lexicographically smallest (+1 first) minimizer.  tie_count is the
+    number of tied patterns (sigma and -sigma always tie); iterations
+    counts the cells of the program.
     """
     n = mesh.n
     opts = SolverOptions()
