@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cone import ConePoint
@@ -54,8 +55,10 @@ def _nonnegative_float(text: str) -> float:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not x >= 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    if not 0 <= x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        )
     return x
 
 

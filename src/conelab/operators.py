@@ -71,6 +71,9 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
     height a costs |a|^3, so a walk through a costs at least |a|^3 + n - |a|:
     E(sigma) >= n = E(alternating), with equality iff it stays in {-1, 0, 1}.
+    Such a walk may step either way from 0 but must return to 0 from +/-1,
+    so there are 2^ceil(n/2) minimizers, and the +1-first one is
+    alternating_signs(n).
     """
     values = np.asarray(values)
     nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)

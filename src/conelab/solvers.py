@@ -14,9 +14,10 @@
   every flip gain from running prefix and suffix sums of the signs,
   O(n) per sweep with no K6 sigma vector.
 * solve_bruteforce: the exact global minimum over all 2^n sign
-  patterns, by dynamic programming over the partial-sum walk of the
-  pattern (n stages of three heights, any n), the oracle the iterative
-  methods are tested against.
+  patterns, the oracle the iterative methods are tested against.  By
+  the step-cost lemma of operators.walk_energy the minimizers are the
+  walks within heights -1, 0 and 1, so it returns the alternating
+  pattern and the tie count 2^ceil(n/2) in closed form, O(n) for any n.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import gradient, quadratic_decrease, value
-from .operators import apply_SstarS, norm_S_sq, walk_energy
+from .operators import apply_SstarS, norm_S_sq
 
 MIN_BACKTRACK_STEP = 1e-16
 
@@ -53,8 +54,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
-        if not (float(self.tolerance) > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < float(self.tolerance) < math.inf):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,7 @@ def solve_bangbang(
 
 
 def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
-    """Global minimizer by an exact dynamic program over the sign walk.
+    """Global minimizer in closed form, by the step-cost lemma.
 
     Valid because the u-subproblem at fixed t is strictly concave on the
     box (2 lambda_max(S*S) < 1, see op_norm_SstarS), so the global
@@ -364,17 +365,12 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
     apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m) and
     coincides with every ray optimum when h = 0.
 
-    The best pattern minimizes the integer walk energy E(sigma).  By the
-    step-cost lemma of operators.walk_energy, with B the computed energy
-    of the alternating pattern, only heights with |r|^3 - |r| <= B - n
-    carry a minimizer or a tie: -1, 0 and 1 (A*'s admissible-bound
-    pruning of the Viterbi trellis).  A backward pass gives the minimal
-    cost-to-go of every (cell, height) and the exact number of minimizing
-    continuations (a Python int: 2^ceil(n/2) overflows int64); a greedy
-    forward pass then picks +1 wherever it stays optimal, giving the
-    lexicographically smallest (+1 first) minimizer.  tie_count is the
-    number of tied patterns (sigma and -sigma always tie); iterations
-    counts the cells of the program.
+    The best pattern minimizes the integer walk energy E(sigma), and
+    operators.walk_energy proves that the minimizers are the 2^ceil(n/2)
+    walks within heights -1, 0 and 1 (E = n), of which
+    alternating_signs(n) is the lexicographically smallest (+1 first).
+    tie_count is the number of tied patterns (sigma and -sigma always
+    tie); iterations reports n, one per cell of the pattern.
     """
     n = mesh.n
     opts = SolverOptions()
@@ -383,29 +379,5 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
         return _build_report(
             0.0, "brute", ConePoint.apex(mesh), 0, True, opts, tie_count=2**n
         )
-    bound = int(walk_energy(alternating_signs(n).astype(np.int64)))
-    r = 1
-    while (r + 1) ** 3 - (r + 1) <= bound - n:
-        r += 1
-    heights = np.arange(-r, r + 1, dtype=np.int64)
-    up = 3 * heights * heights + 3 * heights + 1  # cost of a +1 step
-    down = up - 6 * heights  # cost of a -1 step
-    # Cost-to-go and tie counts per (cell, height), padded by one
-    # unreachable height on each side of the band.
-    togo = np.zeros((n + 1, heights.size + 2), dtype=np.int64)
-    togo[:, [0, -1]] = np.iinfo(np.int64).max // 2
-    ways = np.zeros(heights.size + 2, dtype=object)
-    ways[1:-1] = 1
-    for k in range(n - 1, -1, -1):
-        via_up, via_down = up + togo[k + 1, 2:], down + togo[k + 1, :-2]
-        best = togo[k, 1:-1] = np.minimum(via_up, via_down)
-        ways[1:-1] = np.where(via_up == best, ways[2:], 0) + np.where(
-            via_down == best, ways[:-2], 0
-        )
-    signs = np.empty(n)
-    a = r + 1  # padded index of height 0
-    for k in range(n):
-        signs[k] = 1 if up[a - 1] + togo[k + 1, a + 1] == togo[k, a] else -1
-        a += int(signs[k])
-    p = _ray_optimum(h, mesh, signs)
-    return _build_report(h, "brute", p, n, True, opts, tie_count=int(ways[r + 1]))
+    p = _ray_optimum(h, mesh, alternating_signs(n))
+    return _build_report(h, "brute", p, n, True, opts, tie_count=2 ** ((n + 1) // 2))

@@ -163,6 +163,13 @@ def test_invalid_usage_exits_two():
         run_cli("stability", "--n", "4", "--h", "0.1", "--delta", "-1.0").returncode
         == 2
     )
+    # a non-finite --tol would let any point pass as converged
+    assert run_cli("solve", "--n", "8", "--h", "1", "--tol", "inf").returncode == 2
+    assert run_cli("growth", "--n", "8", "--epsilon", "inf").returncode == 2
+    assert (
+        run_cli("stability", "--n", "4", "--h", "0.1", "--delta", "inf").returncode
+        == 2
+    )
 
 
 def test_unwritable_output_exits_one():

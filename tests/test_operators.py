@@ -25,6 +25,7 @@ from conelab import (
     Mesh,
     PiecewiseLinear,
     PowerIterationError,
+    alternating_signs,
     apply_S,
     apply_SstarS,
     l2_inner,
@@ -178,13 +179,17 @@ def test_walk_energy_step_cost_lemma_on_every_sign_pattern():
     # E(sigma) >= m^3 + n - m for the walk's largest height m, and E = n
     # exactly for the 2^ceil(n/2) walks that stay in {-1, 0, 1}
     for n in range(1, 13):
-        bits = np.arange(2**n)[:, None] >> np.arange(n)
+        # cell k is bit n - 1 - k of the row index, so the rows run in
+        # lexicographic order with +1 before -1
+        bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)
         sigma = (1 - 2 * (bits & 1)).astype(np.int64)
         energy = walk_energy(sigma)
         m = np.abs(np.cumsum(sigma, axis=1)).max(axis=1)
         assert np.all(energy >= m**3 + n - m)
         np.testing.assert_array_equal(energy == n, m <= 1)
         assert np.count_nonzero(m <= 1) == 2 ** ((n + 1) // 2)
+        first = sigma[np.flatnonzero(energy == n)[0]]
+        np.testing.assert_array_equal(first, alternating_signs(n))
 
 
 def test_op_norm_small_meshes():

@@ -6,8 +6,8 @@ enumerates every sign pattern with Fractions, and applies the documented
 tie-break; no floating-point shortcut of the implementation is reused.
 Bang-bang descent is also held byte for byte to a reference that keeps
 the vector K6 sigma and updates it column by column on every flip, and
-the exact solver to the same dynamic program over a wider band of walk
-heights.
+the closed-form exact solver to a dynamic program over the partial-sum
+walk that searches a wide band of walk heights.
 """
 
 import dataclasses
@@ -83,6 +83,8 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(tolerance=0.0)
+    with pytest.raises(ValueError):
+        SolverOptions(tolerance=float("inf"))
 
 
 def test_bruteforce_two_cells():
@@ -143,7 +145,7 @@ def _closed_form(h, n):
 
 def test_bruteforce_closed_form_at_every_size_up_to_the_cap():
     h = 1.0
-    for n in [*range(1, 65), 1000, 4096, 65536]:
+    for n in [*range(1, 65), 1000, 4096, 65536, 2**20]:
         report = solve_bruteforce(h, Mesh(n))
         f, t = _closed_form(h, n)
         assert_allclose(report.objective, f, rtol=1e-12)
