@@ -65,7 +65,9 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     a and b are the partial sums of values before and after each cell,
     starting from 0, so rows are independent and integer input gives
     an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
-    pattern sigma.
+    pattern sigma.  With b = a + u the cell term is 3ab + u^2, so the
+    sum is 3 sum_k P_{k-1} P_k + sum_k u_k^2 over the prefix sums P:
+    one cumsum and two row dots, with no product arrays.
 
     Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
     = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
@@ -76,10 +78,9 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     alternating_signs(n).
     """
     values = np.asarray(values)
-    nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
-    np.cumsum(values, axis=-1, out=nodes[..., 1:])
-    a, b = nodes[..., :-1], nodes[..., 1:]
-    return np.sum(a * a + a * b + b * b, axis=-1)
+    P = np.cumsum(values, axis=-1)
+    steps = np.einsum("...i,...i->...", P[..., :-1], P[..., 1:])
+    return 3 * steps + np.einsum("...i,...i->...", values, values)
 
 
 def norm_S_sq(u: GridFunction) -> float:

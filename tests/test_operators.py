@@ -192,6 +192,49 @@ def test_walk_energy_step_cost_lemma_on_every_sign_pattern():
         np.testing.assert_array_equal(first, alternating_signs(n))
 
 
+def _exact_walk_energy(row):
+    # every float is an integer over a power of two: clear the largest
+    # denominator and sum a^2 + ab + b^2 on Python ints
+    fractions = [Fraction(x) for x in row.tolist()]
+    den = max(f.denominator for f in fractions)
+    a = total = 0
+    for f in fractions:
+        b = a + f.numerator * (den // f.denominator)
+        total += a * a + a * b + b * b
+        a = b
+    return Fraction(total, den * den)
+
+
+def _reference_walk_energy(values):
+    # the kernel's earlier form: the node walk and the a^2 + ab + b^2 products
+    nodes = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
+    np.cumsum(values, axis=-1, out=nodes[..., 1:])
+    a, b = nodes[..., :-1], nodes[..., 1:]
+    return np.sum(a * a + a * b + b * b, axis=-1)
+
+
+def test_walk_energy_float_rows_match_the_fraction_oracle():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 64, 1024, 4096):
+        ray = rng.uniform(0.01, 10.0, size=(3, 1)) * alternating_signs(n)
+        uniform = rng.uniform(-1.0, 1.0, size=(3, n))
+        for rows in (ray, uniform):
+            energy = walk_energy(rows)
+            assert energy.shape == (3,)
+            for row, got in zip(rows, energy):
+                exact = _exact_walk_energy(row)
+                assert abs(Fraction(float(got)) - exact) <= Fraction(1, 10**13) * exact
+
+
+def test_walk_energy_is_exact_on_integer_sign_rows():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 17, 256, 2048):
+        sigma = rng.choice(np.array([-1, 1], dtype=np.int64), size=(8, n))
+        energy = walk_energy(sigma)
+        assert energy.dtype == np.int64
+        np.testing.assert_array_equal(energy, _reference_walk_energy(sigma))
+
+
 def test_op_norm_small_meshes():
     # n = 1: S*S acts as multiplication by 1/3
     assert_allclose(op_norm_SstarS(Mesh(1)), 1.0 / 3.0, atol=1e-11)

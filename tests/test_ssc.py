@@ -1,6 +1,7 @@
 """Second-order certificates at the apex: coercivity chain and growth."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,3 +237,62 @@ def test_growth_estimate_is_the_coercivity_ratio():
         worst = int(np.argmin(ratios))
         radius = 1.0 - rng.uniform(0.0, 1.0, size=U.shape[0])[worst]
         assert s == epsilon * radius / np.sqrt(nsq[worst])
+
+
+def test_row_blocks_reproduce_one_uniform_draw():
+    # the blocks reuse one buffer, so each is copied before the next draw;
+    # together they are one rng.uniform(-1, 1) draw bit for bit, and the
+    # generator ends in the same state
+    for n in (1, 13, 2048, 2**19):
+        block = max(1, ssc._BLOCK_CELLS // n)
+        for samples in (1, block - 1, block, block + 1, 3 * block + 5):
+            rng = np.random.default_rng(n + samples)
+            blocks = [U.copy() for U in ssc._row_blocks(n, samples, rng)]
+            extras = blocks.pop()
+            np.testing.assert_array_equal(extras, [np.zeros(n), alternating_signs(n)])
+            assert all(U.shape[0] <= block for U in blocks)
+            rows = np.concatenate([np.empty((0, n)), *blocks])
+            reference = np.random.default_rng(n + samples)
+            expected = reference.uniform(-1.0, 1.0, size=(samples, n))
+            np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(
+                rng.uniform(size=5).view(np.int64), reference.uniform(size=5).view(np.int64)
+            )
+
+
+def _vertex_minimum(n):
+    # least f''(d, d) / ||d||^2 over d = (1, sigma), every sign pattern, in Fractions
+    width = Fraction(1, n)
+    best = None
+    for bits in range(2**n):
+        sigma = [1 - 2 * (bits >> k & 1) for k in range(n)]
+        a = energy = 0
+        for step in sigma:
+            b = a + step
+            energy += a * a + a * b + b * b
+            a = b
+        image = width**3 / 3 * energy
+        comp = width * sum(step * step for step in sigma)
+        ratio = (2 + 2 * image - comp) / (1 + comp)
+        best = ratio if best is None else min(best, ratio)
+    return best
+
+
+def test_exact_constant_is_the_vertex_minimum_and_the_sampled_minimum():
+    for n in range(1, 10):
+        mesh = Mesh(n)
+        exact = _vertex_minimum(n)
+        assert exact == Fraction(1, 2) + Fraction(1, 3 * n * n)
+        beta = coercivity_estimate(mesh, samples=500, seed=n)
+        assert beta.beta_exact == float(exact)
+        # the sampled directions never beat the exact constant, and the
+        # alternating extra attains it up to rounding
+        assert abs(beta.beta_estimate - beta.beta_exact) <= 2 * np.spacing(beta.beta_exact)
+        delta = growth_estimate(mesh, epsilon=1.0, samples=500, seed=n)
+        assert delta.delta_exact == beta.beta_exact
+        assert json.loads(beta.to_json())["beta_exact"] == beta.beta_exact
+        assert json.loads(delta.to_json())["delta_exact"] == delta.delta_exact
+    for n in (64, 2048):
+        beta = coercivity_estimate(Mesh(n), samples=300, seed=0)
+        assert beta.beta_exact == float(Fraction(1, 2) + Fraction(1, 3 * n * n))
+        assert abs(beta.beta_estimate - beta.beta_exact) <= 2 * np.spacing(beta.beta_exact)
