@@ -67,7 +67,7 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
     pattern sigma.  With b = a + u the cell term is 3ab + u^2, so the
     sum is 3 sum_k P_{k-1} P_k + sum_k u_k^2 over the prefix sums P:
-    one cumsum and two row dots, with no product arrays.
+    one cumsum and two row dots (_row_dots), with no product arrays.
 
     Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
     = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
@@ -79,8 +79,18 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values)
     P = np.cumsum(values, axis=-1)
-    steps = np.einsum("...i,...i->...", P[..., :-1], P[..., 1:])
-    return 3 * steps + np.einsum("...i,...i->...", values, values)
+    return 3 * _row_dots(P[..., :-1], P[..., 1:]) + _row_dots(values, values)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows along the last axis.
+
+    A single row goes to np.dot, the BLAS dot the solvers already use;
+    a stack of rows to einsum, one dot per row and no product array.
+    """
+    if x.ndim == 1:
+        return np.dot(x, y)
+    return np.einsum("...i,...i->...", x, y)
 
 
 def norm_S_sq(u: GridFunction) -> float:
