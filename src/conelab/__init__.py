@@ -39,14 +39,12 @@ from .objective import (
     check_tilt,
     gradient,
     hessian_form,
-    hessian_vec,
     quadratic_decrease,
     rayleigh_ratio,
     value,
 )
 from .operators import (
     PiecewiseLinear,
-    PowerIterationError,
     apply_S,
     apply_SstarS,
     norm_S_sq,
@@ -95,7 +93,6 @@ __all__ = [
     "MeshMismatchError",
     "PiecewiseLinear",
     "PontryaginCheck",
-    "PowerIterationError",
     "SolveReport",
     "SolverOptions",
     "StabilityRecord",
@@ -114,7 +111,6 @@ __all__ = [
     "gradient",
     "growth_estimate",
     "hessian_form",
-    "hessian_vec",
     "l2_inner",
     "l2_norm_sq",
     "norm_S_sq",

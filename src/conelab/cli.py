@@ -116,12 +116,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         h_list=tuple(args.h_list),
         n_list=tuple(args.n_list),
         method=args.method,
-        output_path=args.out,
-        format=args.format,
     )
     rows = perturbation_sweep(cfg)
-    write_rows(rows, cfg.output_path, cfg.format)
-    print(f"wrote {len(rows)} rows to {cfg.output_path}", file=sys.stderr)
+    write_rows(rows, args.out, args.format)
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

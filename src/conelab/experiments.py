@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cone import ConePoint, norm_X, project
 from .grid import GridFunction, Mesh
@@ -34,22 +34,6 @@ from .ssc import DELTA_CERTIFIED
 _METHODS = ("pgd", "bangbang", "brute")
 _FORMATS = ("csv", "json")
 
-_ROW_FIELDS = (
-    "h",
-    "n",
-    "t_star",
-    "f_star",
-    "norm_Su_sq",
-    "norm_x",
-    "sign_changes",
-    "pontryagin_residual",
-    "stationarity",
-    "prop2_bound",
-    "prop2_ok",
-)
-CSV_HEADER = ",".join(_ROW_FIELDS)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     h: float
@@ -66,6 +50,10 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -88,13 +76,11 @@ class StabilityRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep plan: tilts, mesh sizes, solver, output target."""
+    """Validated sweep plan: tilts, mesh sizes and solver."""
 
     h_list: tuple
     n_list: tuple
     method: str = "bangbang"
-    output_path: str = ""
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_list", tuple(float(h) for h in self.h_list))
@@ -108,8 +94,6 @@ class SweepConfig:
                 raise ValueError("mesh sizes must be >= 1")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
 
 
 def solve_with_canonical_start(
@@ -128,7 +112,7 @@ def solve_with_canonical_start(
         start = project(ConePoint(h, GridFunction.zeros(mesh)))
         return solve_pgd(h, mesh, start, opts)
     if method == "brute":
-        return solve_bruteforce(h, mesh)
+        return solve_bruteforce(h, mesh, opts)
     raise ValueError(f"method must be one of {_METHODS}")
 
 

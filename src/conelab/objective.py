@@ -39,12 +39,6 @@ def hessian_form(d: ConePoint) -> float:
     return 2.0 * d.t * d.t + 2.0 * norm_S_sq(d.u) - l2_norm_sq(d.u)
 
 
-def hessian_vec(d: ConePoint) -> ConePoint:
-    """The Hessian applied to d, so that <hessian_vec(d), d> = hessian_form(d)."""
-    w = apply_SstarS(d.u).values
-    return ConePoint(2.0 * d.t, GridFunction(d.mesh, 2.0 * w - d.u.values))
-
-
 def quadratic_decrease(h: float, p: ConePoint, step: ConePoint) -> float:
     """Exact change f_h(p + step) - f_h(p).
 

@@ -24,15 +24,12 @@ x -> integral of (S u) over (x, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridFunction, Mesh
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -129,36 +126,19 @@ def apply_SstarS(u: GridFunction) -> GridFunction:
     return GridFunction(u.mesh, u.mesh.width**2 / 6.0 * _k6_times(u.values))
 
 
-def op_norm_SstarS(
-    mesh: Mesh, tol: float = 1e-12, max_iterations: int = 100000
-) -> float:
-    """Largest eigenvalue of S*S on the mesh, by power iteration.
+def op_norm_SstarS(mesh: Mesh) -> float:
+    """Largest eigenvalue of S*S on the mesh: 1/(4 n^2 sin^2(pi/(4n))) - 1/(6 n^2).
 
-    Starts from the constant function, normalizes in L^2, and stops when
-    the Rayleigh quotient changes by less than tol.  S*S here is a Galerkin
-    compression of the continuous one (norm_S_sq is exact on piecewise
-    constants), so lambda rises toward ||S||^2 = 4/pi^2 < 1/2 and 2*lambda < 1
-    on every mesh: the bound that reduces the box subproblem to sign patterns.
+    With w = width and node values v = S u (v_0 = 0), ||S u||^2 = v'Mv and
+    ||u||^2 = v'Kv, where M = (w/6) tridiag(1, 4, 1) and K = (1/w)
+    tridiag(-1, 2, -1), each with its last diagonal entry halved.  This
+    pencil has eigenvectors v_k = sin(k theta_j) with n theta_j =
+    (j - 1/2) pi, so lambda_j = (w^2/6) (2 + cos theta_j) /
+    (1 - cos theta_j), and j = 1 gives the formula above, with eigenvector
+    u_i = cos((i - 1/2) pi / (2n)).  S*S here is a Galerkin compression of
+    the continuous one (norm_S_sq is exact on piecewise constants), so
+    lambda rises toward ||S||^2 = 4/pi^2 < 1/2 and 2*lambda < 1 on every
+    mesh: the bound that reduces the box subproblem to sign patterns.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    width = mesh.width
-    scale = width**2 / 6.0
-    u = np.ones(mesh.n)
-    lam = 0.0
-    for _ in range(max_iterations):
-        v = scale * _k6_times(u)
-        norm = np.sqrt(width * np.dot(v, v))
-        u = v / norm
-        Au = scale * _k6_times(u)
-        lam_new = np.dot(Au, u) / np.dot(u, u)
-        if abs(lam_new - lam) < tol:
-            if not 2.0 * lam_new < 1.0:
-                raise RuntimeError(
-                    f"largest eigenvalue {lam_new} violates 2*lambda < 1"
-                )
-            return float(lam_new)
-        lam = lam_new
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iterations} iterations"
-    )
+    n = mesh.n
+    return 1.0 / (4 * n * n * math.sin(math.pi / (4 * n)) ** 2) - 1.0 / (6 * n * n)

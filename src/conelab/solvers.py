@@ -3,7 +3,8 @@
 * solve_pgd: projected gradient descent with backtracking.
 * solve_bangbang: descent on vertex sign patterns.  For fixed t the
   u-subproblem minimizes the concave quadratic ||S u||^2 - ||u||^2 / 2
-  over the box [-t, t]^n (concave because 2 lambda_max(S*S) < 1), so
+  over the box [-t, t]^n (concave because 2 lambda_max(S*S) < 1, with
+  lambda_max in closed form in operators.op_norm_SstarS), so
   its minimum sits at a vertex u = t * sigma, and along each ray u =
   t * sigma the objective is t^2 (1/2 + m) - h t with m = ||S sigma||^2,
   minimized at t = h / (1 + 2 m) with value -h^2 / (2 + 4 m).  Finding
@@ -356,14 +357,16 @@ def solve_bangbang(
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 
 
-def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
+def solve_bruteforce(
+    h: float, mesh: Mesh, opts: SolverOptions | None = None
+) -> SolveReport:
     """Global minimizer in closed form, by the step-cost lemma.
 
     Valid because the u-subproblem at fixed t is strictly concave on the
-    box (2 lambda_max(S*S) < 1, see op_norm_SstarS), so the global
-    minimizer is the apex or a vertex point t(sigma) * (1, sigma); the
-    apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m) and
-    coincides with every ray optimum when h = 0.
+    box (2 lambda_max(S*S) < 1, the closed form of op_norm_SstarS), so the
+    global minimizer is the apex or a vertex point t(sigma) * (1, sigma);
+    the apex, with objective 0, never beats a ray value -h^2 / (2 + 4 m)
+    and coincides with every ray optimum when h = 0.
 
     The best pattern minimizes the integer walk energy E(sigma), and
     operators.walk_energy proves that the minimizers are the 2^ceil(n/2)
@@ -371,9 +374,11 @@ def solve_bruteforce(h: float, mesh: Mesh) -> SolveReport:
     alternating_signs(n) is the lexicographically smallest (+1 first).
     tie_count is the number of tied patterns (sigma and -sigma always
     tie); iterations reports n, one per cell of the pattern.
+    converged still requires the stationarity residual within
+    opts.tolerance.
     """
     n = mesh.n
-    opts = SolverOptions()
+    opts = opts or SolverOptions()
     if h == 0:
         # Every ray optimum is t = 0: all 2^n patterns tie at the apex.
         return _build_report(

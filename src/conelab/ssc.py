@@ -97,7 +97,8 @@ def _exact_constant(n: int) -> float:
     With d = (1, u), m = ||S u||^2 and c = ||u||^2 the ratio is
     (2 + 2m - c) / (1 + c).  By Dinkelbach's reduction rho is its minimum
     iff the least 2 - rho + 2m - (1 + rho) c over |u| <= 1 is 0; that
-    function is concave in u (2 lambda_max < 1 <= 1 + rho), so it is least
+    function is concave in u (2 lambda_max < 1 <= 1 + rho, with lambda_max
+    the closed form of operators.op_norm_SstarS), so it is least
     at a vertex u = sigma, where c = 1 and the ratio is 1/2 + m.  The least
     m is (width^3 / 3) n (the step-cost lemma of operators.walk_energy).
     Integer true division rounds the rational (3 n^2 + 2) / (6 n^2) to a

@@ -61,6 +61,13 @@ def test_solve_command_bruteforce():
     assert payload["tie_count"] == 2**13
     assert payload["tie_count_log2"] == 13
     assert payload["converged"] is True
+    # --tol bounds the stationarity residual here as for the other methods
+    result = run_cli(
+        "solve", "--method", "brute", "--n", "8", "--h", "1", "--tol", "1e-30"
+    )
+    assert result.returncode == 1
+    payload = json.loads(result.stdout)
+    assert payload["converged"] is False
 
 
 def test_solve_command_bruteforce_past_the_int_string_limit():

@@ -37,8 +37,6 @@ def test_sweep_config_validation():
         SweepConfig(h_list=[0.1], n_list=[0])
     with pytest.raises(ValueError):
         SweepConfig(h_list=[0.1], n_list=[4], method="simplex")
-    with pytest.raises(ValueError):
-        SweepConfig(h_list=[0.1], n_list=[4], format="xml")
     # an untilted column is legitimate
     SweepConfig(h_list=[0.0], n_list=[4])
 

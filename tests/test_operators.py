@@ -24,7 +24,6 @@ from conelab import (
     GridFunction,
     Mesh,
     PiecewiseLinear,
-    PowerIterationError,
     alternating_signs,
     apply_S,
     apply_SstarS,
@@ -241,13 +240,21 @@ def test_walk_energy_is_exact_on_integer_sign_rows():
             assert single == _reference_walk_energy(row)
 
 
-def test_op_norm_small_meshes():
+def test_op_norm_closed_form():
     # n = 1: S*S acts as multiplication by 1/3
-    assert_allclose(op_norm_SstarS(Mesh(1)), 1.0 / 3.0, atol=1e-11)
-    # dense eigenvalue solve as an independent oracle
-    for n in (2, 3, 8, 32):
+    assert_allclose(op_norm_SstarS(Mesh(1)), 1.0 / 3.0, rtol=0, atol=1e-15)
+    # dense eigenvalue solve of the operator-assembled matrix as an oracle
+    for n in range(1, 65):
         dense = np.linalg.eigvalsh(_gram_from_operator(n) / Mesh(n).width).max()
-        assert_allclose(op_norm_SstarS(Mesh(n)), dense, atol=1e-10)
+        assert_allclose(op_norm_SstarS(Mesh(n)), dense, rtol=0, atol=1e-14)
+    # and as an eigenpair of the matrix-free operator on large meshes,
+    # with eigenvector u_i = cos((i - 1/2) pi / (2n))
+    for n in (4096, 65536, 2**20):
+        mesh = Mesh(n)
+        u = np.cos((np.arange(1, n + 1) - 0.5) * np.pi / (2 * n))
+        lam = op_norm_SstarS(mesh)
+        Au = apply_SstarS(GridFunction(mesh, u)).values
+        assert np.max(np.abs(Au - lam * u)) <= 1e-12 * np.max(np.abs(Au))
 
 
 def test_op_norm_monotone_and_bounded():
@@ -263,10 +270,3 @@ def test_op_norm_monotone_and_bounded():
     assert abs(v256 - continuum) < 2e-5
     # the gap closes like 1/(12 n^2): about 1.9e-11 at n = 65536
     assert abs(values[-1] - continuum) < 1e-10
-
-
-def test_op_norm_error_paths():
-    with pytest.raises(ValueError):
-        op_norm_SstarS(Mesh(4), tol=0.0)
-    with pytest.raises(PowerIterationError):
-        op_norm_SstarS(Mesh(4), max_iterations=1)
