@@ -39,17 +39,18 @@ def hessian_form(d: ConePoint) -> float:
     return 2.0 * d.t * d.t + 2.0 * norm_S_sq(d.u) - l2_norm_sq(d.u)
 
 
-def quadratic_decrease(h: float, p: ConePoint, step: ConePoint) -> float:
-    """Exact change f_h(p + step) - f_h(p).
+def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
+    """Exact change f_h(p + step) - f_h(p), given g = gradient(h, p).
 
     The objective is quadratic, so the change equals
-    <gradient, step> + step_t^2 + ||S step_u||^2 - (1/2)||step_u||^2
+    <g, step> + step_t^2 + ||S step_u||^2 - (1/2)||step_u||^2
     identically.  Evaluating it this way avoids the cancellation that
     makes the difference of two nearly equal objective values unusable
-    near a stationary point.
+    near a stationary point.  The caller passes the gradient it already
+    holds: solve_pgd takes one per iteration and reuses it for every
+    backtracking trial, so no trial applies S*S.
     """
-    g = gradient(h, p)
-    inner = g.t * step.t + p.mesh.width * float(np.dot(g.u.values, step.u.values))
+    inner = g.t * step.t + g.mesh.width * float(np.dot(g.u.values, step.u.values))
     return inner + step.t * step.t + norm_S_sq(step.u) - 0.5 * l2_norm_sq(step.u)
 
 

@@ -204,13 +204,15 @@ def solve_pgd(
 ) -> SolveReport:
     """Projected gradient descent from a feasible start.
 
-    Each iteration projects x - alpha * gradient back onto the cone,
-    with alpha halved from 1 until the objective decreases; the decrease
-    is evaluated through the exact quadratic expansion
-    (quadratic_decrease), which stays meaningful where the difference
-    of two objective values would drown in cancellation.
-    Convergence is declared when the unit-step fixed-point residual
-    ||x - project(x - gradient)|| drops to opts.tolerance.  A
+    Each iteration takes one gradient g at x and projects x - alpha * g
+    back onto the cone, with alpha halved from 1 until the objective
+    decreases; the decrease is evaluated through the exact quadratic
+    expansion (quadratic_decrease, fed the iteration's g), which stays
+    meaningful where the difference of two objective values would drown
+    in cancellation.  The unit-step projection is computed once: its
+    move project(x - g) - x is both the fixed-point residual, whose norm
+    ||x - project(x - g)|| declares convergence at opts.tolerance, and
+    the step-1 trial, so project runs again only after a halving.  A
     backtracking stall (step below 1e-16 with no decrease) stops the
     iteration with converged=False.
     """
@@ -224,9 +226,9 @@ def solve_pgd(
     reached = False
     while True:
         g = gradient(h, x)
-        target = project(_axpy(x, -1.0, g))
-        residual = norm_X(_axpy(x, -1.0, target))
-        if residual <= opts.tolerance:
+        candidate = project(_axpy(x, -1.0, g))
+        move = _axpy(candidate, -1.0, x)
+        if norm_X(move) <= opts.tolerance:
             reached = True
             break
         if steps >= opts.max_iterations:
@@ -234,14 +236,14 @@ def solve_pgd(
         step = 1.0
         accepted = None
         while True:
-            candidate = project(_axpy(x, -step, g))
-            move = _axpy(candidate, -1.0, x)
-            if quadratic_decrease(h, x, move) < 0.0:
+            if quadratic_decrease(g, move) < 0.0:
                 accepted = candidate
                 break
             step *= 0.5
             if step < MIN_BACKTRACK_STEP:
                 break
+            candidate = project(_axpy(x, -step, g))
+            move = _axpy(candidate, -1.0, x)
         if accepted is None:
             break
         x = accepted

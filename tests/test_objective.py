@@ -100,7 +100,7 @@ def test_quadratic_decrease_is_the_exact_change():
         p, d = _rand_point(rng, mesh), _rand_point(rng, mesh, scale=0.5)
         shifted = ConePoint(p.t + d.t, GridFunction(mesh, p.u.values + d.u.values))
         assert_allclose(
-            quadratic_decrease(h, p, d), value(h, shifted) - value(h, p),
+            quadratic_decrease(gradient(h, p), d), value(h, shifted) - value(h, p),
             rtol=1e-10, atol=1e-13,
         )
 

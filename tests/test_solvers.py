@@ -32,8 +32,13 @@ from conelab import (
     alternating_signs,
     contains,
     count_sign_changes,
+    gradient,
+    norm_X,
+    objective,
     pontryagin_check,
     pontryagin_residual,
+    project,
+    quadratic_decrease,
     random_feasible_point,
     solve_bangbang,
     solve_bruteforce,
@@ -402,6 +407,90 @@ def test_pgd_monotone_descent():
         values.append(report.objective)
         assert contains(report.minimizer)
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+def _reference_pgd(h, mesh, start, opts):
+    """PGD that projects the unit step twice and re-takes the gradient per trial.
+
+    The residual's projection project(x - g) and the step-1 trial are
+    computed separately, and every backtracking trial evaluates its
+    decrease from a fresh gradient at x; the iterate path, the halving
+    rule and the stall floor are those documented for solve_pgd.
+    """
+    x = start
+    steps, reached = 0, False
+    while True:
+        g = gradient(h, x)
+        target = project(solvers._axpy(x, -1.0, g))
+        if norm_X(solvers._axpy(x, -1.0, target)) <= opts.tolerance:
+            reached = True
+            break
+        if steps >= opts.max_iterations:
+            break
+        step, accepted = 1.0, None
+        while True:
+            candidate = project(solvers._axpy(x, -step, g))
+            move = solvers._axpy(candidate, -1.0, x)
+            if quadratic_decrease(gradient(h, x), move) < 0.0:
+                accepted = candidate
+                break
+            step *= 0.5
+            if step < solvers.MIN_BACKTRACK_STEP:
+                break
+        if accepted is None:
+            break
+        x = accepted
+        steps += 1
+    return solvers._build_report(h, "pgd", x, steps, reached, opts)
+
+
+def test_pgd_matches_the_two_projection_reference():
+    rng = np.random.default_rng(2025)
+    for n in [*range(1, 65), 257, 1024]:
+        mesh = Mesh(n)
+        for h in (0.0, 0.1, 1.0):
+            starts = [
+                random_feasible_point(mesh, rng),
+                project(ConePoint(h, GridFunction.zeros(mesh))),
+            ]
+            for start in starts:
+                for cap in (1, 3, SolverOptions().max_iterations):
+                    opts = SolverOptions(max_iterations=cap)
+                    expected = _reference_pgd(h, mesh, start, opts).to_json()
+                    assert solve_pgd(h, mesh, start, opts).to_json() == expected, (n, h, cap)
+
+
+def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatch):
+    counts = {"gradient": 0, "project": 0, "quadratic_decrease": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    grad = counted("gradient", objective.gradient)
+    monkeypatch.setattr(solvers, "gradient", grad)
+    monkeypatch.setattr(objective, "gradient", grad)
+    monkeypatch.setattr(solvers, "project", counted("project", solvers.project))
+    monkeypatch.setattr(
+        solvers, "quadratic_decrease", counted("quadratic_decrease", solvers.quadratic_decrease))
+    rng = np.random.default_rng(7)
+    for n in (1, 8, 64, 1024):
+        mesh = Mesh(n)
+        for cap in (3, SolverOptions().max_iterations):
+            for key in counts:
+                counts[key] = 0
+            opts = SolverOptions(max_iterations=cap)
+            report = solve_pgd(0.1, mesh, random_feasible_point(mesh, rng), opts)
+            assert report.converged or report.iterations == cap
+            assert report.iterations >= 1
+            # one per loop pass (iterations + 1) and one in the report
+            assert counts["gradient"] == report.iterations + 2
+            # one unit-step projection per pass (iterations + 1) and one
+            # per rejected trial: every trial but the accepted ones
+            assert counts["project"] == counts["quadratic_decrease"] + 1
 
 
 def test_converged_implies_stationarity_below_tolerance():
