@@ -46,9 +46,8 @@ def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
     <g, step> + step_t^2 + ||S step_u||^2 - (1/2)||step_u||^2
     identically.  Evaluating it this way avoids the cancellation that
     makes the difference of two nearly equal objective values unusable
-    near a stationary point.  The caller passes the gradient it already
-    holds: solve_pgd takes one per iteration and reuses it for every
-    backtracking trial, so no trial applies S*S.
+    near a stationary point.  Taking g from the caller lets solve_pgd
+    reuse one gradient for every backtracking trial.
     """
     inner = g.t * step.t + g.mesh.width * float(np.dot(g.u.values, step.u.values))
     return inner + step.t * step.t + norm_S_sq(step.u) - 0.5 * l2_norm_sq(step.u)

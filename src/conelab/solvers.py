@@ -206,15 +206,15 @@ def solve_pgd(
 
     Each iteration takes one gradient g at x and projects x - alpha * g
     back onto the cone, with alpha halved from 1 until the objective
-    decreases; the decrease is evaluated through the exact quadratic
-    expansion (quadratic_decrease, fed the iteration's g), which stays
-    meaningful where the difference of two objective values would drown
-    in cancellation.  The unit-step projection is computed once: its
-    move project(x - g) - x is both the fixed-point residual, whose norm
-    ||x - project(x - g)|| declares convergence at opts.tolerance, and
-    the step-1 trial, so project runs again only after a halving.  A
-    backtracking stall (step below 1e-16 with no decrease) stops the
-    iteration with converged=False.
+    decreases; the decrease is evaluated from g through the exact
+    quadratic expansion (quadratic_decrease), which stays meaningful
+    where the difference of two objective values would drown in
+    cancellation.  The unit-step move project(x - g) - x serves twice:
+    convergence is declared when its norm, the fixed-point residual,
+    drops to opts.tolerance, and otherwise it is the step-1 trial, so
+    project runs again only after a halving.  A backtracking stall
+    (step below 1e-16 with no decrease) stops the iteration with
+    converged=False.
     """
     opts = opts or SolverOptions()
     if start.mesh != mesh:

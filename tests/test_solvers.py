@@ -488,8 +488,8 @@ def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatc
             assert report.iterations >= 1
             # one per loop pass (iterations + 1) and one in the report
             assert counts["gradient"] == report.iterations + 2
-            # one unit-step projection per pass (iterations + 1) and one
-            # per rejected trial: every trial but the accepted ones
+            # one unit-step projection per pass (iterations + 1) plus one
+            # per halving, and each halving follows a rejected trial
             assert counts["project"] == counts["quadratic_decrease"] + 1
 
 
