@@ -13,6 +13,7 @@ certified growth constant delta = 1/2.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -25,6 +26,7 @@ from .solvers import (
     SolveReport,
     SolverOptions,
     all_plus_signs,
+    nested_bangbang_start,
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
@@ -101,13 +103,21 @@ def solve_with_canonical_start(
 ) -> SolveReport:
     """Run one solver from its fixed, documented start.
 
-    bangbang starts from the all-plus pattern, pgd from the projection
-    of (h, 0), and brute needs no start.  Fixed starts keep sweep rows
-    reproducible without hidden state.
+    bangbang starts coarse to fine from nested_bangbang_start: all-plus
+    up to 64 cells, above that the prolonged bang-bang minimizer of the
+    next coarser mesh (h = 0 returns the apex before any sweep, so it
+    starts from all-plus and builds no coarse level).  pgd starts from
+    the projection of (h, 0), and brute needs no start.  Each start is
+    a pure function of the mesh and opts.max_iterations, which keeps
+    sweep rows reproducible without hidden state.
     """
     opts = opts or SolverOptions()
     if method == "bangbang":
-        return solve_bangbang(h, mesh, all_plus_signs(mesh.n), opts)
+        if h == 0:
+            start = all_plus_signs(mesh.n)
+        else:
+            start = nested_bangbang_start(mesh.n, opts.max_iterations)
+        return solve_bangbang(h, mesh, start, opts)
     if method == "pgd":
         start = project(ConePoint(h, GridFunction.zeros(mesh)))
         return solve_pgd(h, mesh, start, opts)
@@ -150,8 +160,9 @@ def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     """Audit the bound ||minimizer|| <= 2 h / delta at one (h, mesh).
 
     delta is the quadratic-growth constant to audit against: the
-    certified 1/2, or a growth_estimate result.  The minimizer comes
-    from the bang-bang solver's canonical start.
+    certified 1/2, or a growth_estimate result.  The minimizer is the
+    bang-bang solver's from its canonical coarse-to-fine start
+    (solve_with_canonical_start).
     """
     check_tilt(h)
     if not delta > 0:
@@ -173,15 +184,21 @@ def write_rows(rows, path: str, format: str = "csv") -> None:
     """Write sweep rows to path as CSV or a JSON array, atomically.
 
     CSV carries the fixed header and 17-significant-digit decimals, so
-    reading the file back reproduces every double bit for bit.  The
-    content goes to a temporary file first and is renamed into place,
-    so a failed write never leaves a partial file at path.
+    reading the file back reproduces every double bit for bit.  A row
+    holding a non-finite value is refused in either format (ValueError
+    naming the field) before any file is created.  The content goes to
+    a temporary file first and is renamed into place, so a failed write
+    never leaves a partial file at path.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("rows must be nonempty")
     if format not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}")
+    for row in rows:
+        for name, value in row.as_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"row h={row.h!r}, n={row.n}: {name} is {value!r}")
     if format == "csv":
         lines = [CSV_HEADER]
         lines += [",".join(_cell(v) for v in row.as_dict().values()) for row in rows]

@@ -294,6 +294,46 @@ def _pair_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
     return total, moved
 
 
+def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
+    # The sweep loop of solve_bangbang on the signs s, in place: strict
+    # single and pair passes, then the polish passes once neither moves.
+    # Returns the sweeps run and whether s settled within max_sweeps.
+    total = sum((6 * len(s) - 3 - 6 * j) * x for j, x in enumerate(s))
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        total, single = _single_flips(s, total, polish=False)
+        total, pair = _pair_flips(s, total, polish=False)
+        if not (single or pair):
+            total, single = _single_flips(s, total, polish=True)
+            total, pair = _pair_flips(s, total, polish=True)
+            if not (single or pair):
+                return sweeps, True
+    return sweeps, False
+
+
+def nested_bangbang_start(n: int, max_sweeps: int) -> list[int]:
+    """The canonical bang-bang start on n cells, coarse to fine.
+
+    For n <= 64 it is all-plus.  Above, it is the pattern bang-bang
+    descends to on ceil(n / 2) cells from that mesh's own nested start,
+    within max_sweeps sweeps, with each sign repeated twice and the
+    result cut to n: nested iteration, the first half of full multigrid
+    (Brandt 1977).  The start depends on bang-bang alone, never on the
+    closed-form minimizer, and is a pure function of (n, max_sweeps).
+    Each level keeps one list of Python ints; the coarse one is freed
+    on return, before the caller descends the finer mesh.
+    """
+    if n <= 64:
+        return [1] * n
+    coarse = nested_bangbang_start((n + 1) // 2, max_sweeps)
+    _descend(coarse, max_sweeps)
+    s = [0] * n
+    s[0::2] = coarse
+    s[1::2] = coarse[: n // 2]
+    return s
+
+
 def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
     # The best point t * (1, sigma) on the ray of a sign pattern.
     t = h / (1.0 + 2.0 * norm_S_sq(GridFunction(mesh, signs)))
@@ -329,7 +369,9 @@ def solve_bangbang(
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot
     cycle; it stops at a pattern where no move applies (converged) or
-    at the sweep cap (converged=False).  iterations counts sweeps.
+    at the sweep cap (converged=False).  iterations counts the sweeps
+    on this mesh only, not those nested_bangbang_start spends on the
+    coarser meshes of the canonical start.
 
     For h = 0 the ray optimum is t = 0 for every pattern, so the apex
     is returned immediately.
@@ -342,19 +384,7 @@ def solve_bangbang(
         apex = ConePoint.apex(mesh)
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
     s = signs.astype(np.int64).tolist()
-    total = sum((6 * len(s) - 3 - 6 * j) * x for j, x in enumerate(s))
-    sweeps = 0
-    settled = False
-    while sweeps < opts.max_iterations:
-        sweeps += 1
-        total, single = _single_flips(s, total, polish=False)
-        total, pair = _pair_flips(s, total, polish=False)
-        if not (single or pair):
-            total, single = _single_flips(s, total, polish=True)
-            total, pair = _pair_flips(s, total, polish=True)
-            if not (single or pair):
-                settled = True
-                break
+    sweeps, settled = _descend(s, opts.max_iterations)
     p = _ray_optimum(h, mesh, np.array(s, dtype=float))
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 

@@ -135,6 +135,20 @@ def test_sweep_command_json(tmp_path):
     assert parsed[0]["prop2_ok"] is True
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_refuses_non_finite_rows_in_either_format(tmp_path, fmt):
+    # at h = 1e200 the objective overflows: f_star is nan, norms are inf
+    out = tmp_path / f"rows.{fmt}"
+    result = run_cli(
+        "sweep", "--h-list", "1e200", "--n-list", "8", "--format", fmt, "--out", str(out)
+    )
+    assert result.returncode == 2
+    assert "f_star is nan" in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+    assert not list(tmp_path.iterdir())
+
+
 def test_growth_command():
     result = run_cli("growth", "--n", "16", "--samples", "500")
     assert result.returncode == 0

@@ -17,7 +17,11 @@ from conelab import (
     Mesh,
     SolverOptions,
     SweepConfig,
+    all_plus_signs,
+    cli,
+    experiments,
     perturbation_sweep,
+    solve_bangbang,
     solve_with_canonical_start,
     stability_report,
     value,
@@ -125,6 +129,51 @@ def test_canonical_starts():
     assert_allclose(pgd.minimizer.t, 0.5, rtol=1e-15)
     with pytest.raises(ValueError):
         solve_with_canonical_start(1.0, mesh, "annealing")
+
+
+def test_nested_start_changes_nothing_but_iterations():
+    sizes = [*range(1, 258), 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097]
+    for n in sizes:
+        mesh = Mesh(n)
+        for h in (0.0, 0.1, 1.0):
+            nested = solve_with_canonical_start(h, mesh, "bangbang").as_dict()
+            plain = solve_bangbang(h, mesh, all_plus_signs(n)).as_dict()
+            del nested["iterations"], plain["iterations"]
+            assert nested == plain, (n, h)
+
+
+def _all_plus_canonical_start(h, mesh, method, opts=None):
+    assert method == "bangbang"
+    return solve_bangbang(h, mesh, all_plus_signs(mesh.n), opts)
+
+
+def test_sweep_and_stability_output_match_the_all_plus_start(
+    tmp_path, monkeypatch, capsys
+):
+    # sizes above 64, where the nested start differs from all-plus
+    sizes, tilts = ["65", "100", "257", "1000"], ["0", "0.1", "1"]
+    argvs = [["stability", "--n", n, "--h", h] for n in sizes for h in tilts]
+    argvs += [
+        ["sweep", "--h-list", ",".join(tilts), "--n-list", ",".join(sizes),
+         "--format", fmt, "--out", fmt]
+        for fmt in ("csv", "json")
+    ]
+
+    def outputs(directory):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        captured = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            captured.append(capsys.readouterr().out)
+        captured += [(directory / fmt).read_bytes() for fmt in ("csv", "json")]
+        return captured
+
+    nested = outputs(tmp_path / "nested")
+    monkeypatch.setattr(
+        experiments, "solve_with_canonical_start", _all_plus_canonical_start
+    )
+    assert outputs(tmp_path / "all_plus") == nested
 
 
 def test_stability_report():

@@ -46,6 +46,7 @@ from conelab import (
     solvers,
     value,
 )
+from conelab.experiments import solve_with_canonical_start
 from conelab.operators import _k6_times, walk_energy
 
 
@@ -213,6 +214,33 @@ def test_bangbang_closed_form_on_a_fine_mesh():
         assert report.sign_changes == n - 1
         assert report.converged
         assert report.iterations == sweeps
+
+
+def test_nested_start_prolongs_the_coarse_minimizer():
+    # all-plus up to 64 cells; above, the bang-bang minimizer of the
+    # ceil(n/2)-cell mesh from its own start, each sign twice, cut to n
+    assert solvers.nested_bangbang_start(64, 5) == [1] * 64
+    for n in (65, 129, 130, 257):
+        m = (n + 1) // 2
+        coarse = solvers.nested_bangbang_start(m, 100)
+        signs = np.sign(solve_bangbang(1.0, Mesh(m), coarse).minimizer.u.values)
+        assert solvers.nested_bangbang_start(n, 100) == np.repeat(signs, 2)[:n].tolist()
+
+
+def test_canonical_bangbang_hits_the_exact_minimizer_at_large_n():
+    h = 0.1
+    for k in range(1, 17):
+        n = 2**k
+        mesh = Mesh(n)
+        report = solve_with_canonical_start(h, mesh, "bangbang")
+        exact = solve_bruteforce(h, mesh)
+        assert report.converged, n
+        assert np.array_equal(report.minimizer.u.values, exact.minimizer.u.values), n
+        assert report.minimizer.t == exact.minimizer.t, n
+        assert report.objective == exact.objective, n
+        if 512 <= n <= 4096:
+            # fine-mesh sweeps only; from all-plus these take 28 to 74
+            assert report.iterations == 3, n
 
 
 def _reference_bangbang(h, mesh, start, opts):
