@@ -35,22 +35,8 @@ from .experiments import (
     write_rows,
 )
 from .grid import GridFunction, Mesh, MeshMismatchError, l2_inner, l2_norm_sq
-from .objective import (
-    check_tilt,
-    gradient,
-    hessian_form,
-    quadratic_decrease,
-    rayleigh_ratio,
-    value,
-)
-from .operators import (
-    PiecewiseLinear,
-    apply_S,
-    apply_SstarS,
-    norm_S_sq,
-    op_norm_SstarS,
-    pl_l2_inner,
-)
+from .objective import check_tilt, gradient, hessian_form, quadratic_decrease, value
+from .operators import apply_SstarS, norm_S_sq, op_norm_SstarS
 from .solvers import (
     PontryaginCheck,
     SolveReport,
@@ -59,8 +45,6 @@ from .solvers import (
     alternating_signs,
     count_sign_changes,
     pontryagin_check,
-    pontryagin_residual,
-    random_feasible_point,
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
@@ -68,69 +52,11 @@ from .solvers import (
 from .ssc import (
     BETA_CERTIFIED,
     DELTA_CERTIFIED,
-    ChainLink,
     CoercivityReport,
     GrowthReport,
     check_stationarity,
-    coercivity_certificate,
     coercivity_estimate,
     growth_estimate,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BETA_CERTIFIED",
-    "CSV_HEADER",
-    "ChainLink",
-    "CoercivityReport",
-    "ConePoint",
-    "DELTA_CERTIFIED",
-    "GridFunction",
-    "GrowthReport",
-    "InfeasiblePointError",
-    "Mesh",
-    "MeshMismatchError",
-    "PiecewiseLinear",
-    "PontryaginCheck",
-    "SolveReport",
-    "SolverOptions",
-    "StabilityRecord",
-    "SweepConfig",
-    "SweepRow",
-    "all_plus_signs",
-    "alternating_signs",
-    "apply_S",
-    "apply_SstarS",
-    "check_stationarity",
-    "check_tilt",
-    "coercivity_certificate",
-    "coercivity_estimate",
-    "contains",
-    "count_sign_changes",
-    "gradient",
-    "growth_estimate",
-    "hessian_form",
-    "l2_inner",
-    "l2_norm_sq",
-    "norm_S_sq",
-    "norm_X",
-    "norm_X_sq",
-    "op_norm_SstarS",
-    "perturbation_sweep",
-    "pl_l2_inner",
-    "pontryagin_check",
-    "pontryagin_residual",
-    "project",
-    "quadratic_decrease",
-    "random_feasible_point",
-    "rayleigh_ratio",
-    "solve_bangbang",
-    "solve_bruteforce",
-    "solve_pgd",
-    "solve_with_canonical_start",
-    "stability_report",
-    "stationarity_residual",
-    "value",
-    "write_rows",
-]

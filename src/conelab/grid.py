@@ -40,10 +40,6 @@ class Mesh:
         """Cell width 1/n."""
         return 1.0 / self.n
 
-    def nodes(self) -> np.ndarray:
-        """The n+1 cell boundaries 0, 1/n, ..., 1."""
-        return np.linspace(0.0, 1.0, self.n + 1)
-
 
 @dataclass(frozen=True)
 class GridFunction:

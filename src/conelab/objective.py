@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import ConePoint, norm_X_sq
-from .grid import GridFunction, l2_norm_sq
+from .cone import ConePoint
+from .grid import GridFunction, l2_inner, l2_norm_sq
 from .operators import apply_SstarS, norm_S_sq
 
 
@@ -49,13 +49,6 @@ def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
     near a stationary point.  Taking g from the caller lets solve_pgd
     reuse one gradient for every backtracking trial.
     """
-    inner = g.t * step.t + g.mesh.width * float(np.dot(g.u.values, step.u.values))
+    inner = g.t * step.t + l2_inner(g.u, step.u)
     return inner + step.t * step.t + norm_S_sq(step.u) - 0.5 * l2_norm_sq(step.u)
 
-
-def rayleigh_ratio(d: ConePoint) -> float:
-    """hessian_form(d) over the squared product norm of d."""
-    nsq = norm_X_sq(d)
-    if nsq == 0.0:
-        raise ValueError("the ratio is undefined at the origin")
-    return hessian_form(d) / nsq

@@ -6,8 +6,14 @@ node values
 
     (S u)(k/n) = width * (u_1 + ... + u_k),
 
-so everything about S on the mesh is exact.  With the partial sums
-a_k = u_1 + ... + u_{k-1} and b_k = a_k + u_k (the walk of u),
+so everything about S on the mesh is exact.  The module computes only
+what the program reads from that image: ||S u||^2, the normal operator
+S*S and its norm; the image as a piecewise-linear function and its L^2
+pairing, the other side of the adjoint identity, are test oracles
+(tests/oracles.py).
+
+With the partial sums a_k = u_1 + ... + u_{k-1} and b_k = a_k + u_k
+(the walk of u),
 
     ||S u||^2 = (width^3 / 3) * sum_k (a_k^2 + a_k b_k + b_k^2),
 
@@ -25,35 +31,10 @@ x -> integral of (S u) over (x, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridFunction, Mesh
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function given by its n+1 node values."""
-
-    mesh: Mesh
-    node_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.array(self.node_values, dtype=float, copy=True).reshape(-1)
-        if vals.shape != (self.mesh.n + 1,):
-            raise ValueError(
-                f"expected {self.mesh.n + 1} node values, got shape "
-                f"{np.shape(self.node_values)}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "node_values", vals)
-
-
-def apply_S(u: GridFunction) -> PiecewiseLinear:
-    """Running integral of a step function; node k holds width * sum(u_1..u_k)."""
-    nodes = np.concatenate(([0.0], u.mesh.width * np.cumsum(u.values)))
-    return PiecewiseLinear(u.mesh, nodes)
 
 
 def walk_energy(values: np.ndarray) -> np.ndarray:
@@ -97,21 +78,6 @@ def norm_S_sq(u: GridFunction) -> float:
     integral of its square over the cell is width^3 (a^2 + a*b + b^2) / 3.
     """
     return float(u.mesh.width**3 / 3.0 * walk_energy(u.values))
-
-
-def pl_l2_inner(f: PiecewiseLinear, g: PiecewiseLinear) -> float:
-    """Exact L^2 inner product of two piecewise-linear functions.
-
-    Per cell with endpoint values (a1, a2) and (b1, b2) the product
-    integrates to width * (2*a1*b1 + a1*b2 + a2*b1 + 2*a2*b2) / 6.
-    """
-    if f.mesh != g.mesh:
-        raise ValueError("piecewise-linear functions live on different meshes")
-    a1, a2 = f.node_values[:-1], f.node_values[1:]
-    b1, b2 = g.node_values[:-1], g.node_values[1:]
-    return float(
-        f.mesh.width / 6.0 * np.sum(2 * a1 * b1 + a1 * b2 + a2 * b1 + 2 * a2 * b2)
-    )
 
 
 def _k6_times(u: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ class SolveReport:
 def count_sign_changes(values: np.ndarray) -> int:
     """Number of adjacent cell pairs with strictly opposite signs."""
     v = np.asarray(values, dtype=float).reshape(-1)
-    return int(np.count_nonzero(v[:-1] * v[1:] < 0.0))
+    return int(np.count_nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0))
 
 
 def all_plus_signs(n: int) -> np.ndarray:
@@ -133,11 +133,6 @@ def alternating_signs(n: int) -> np.ndarray:
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
-
-
-def random_feasible_point(mesh: Mesh, rng: np.random.Generator) -> ConePoint:
-    """A random cone point with t = 1 and cell values uniform in [-1, 1]."""
-    return ConePoint(1.0, GridFunction(mesh, rng.uniform(-1.0, 1.0, size=mesh.n)))
 
 
 def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
@@ -164,10 +159,6 @@ def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
     )
     nonvertex = int(np.count_nonzero(np.abs(np.abs(u) - p.t) > tol))
     return PontryaginCheck(residual=float(deviation.max()), nonvertex_cells=nonvertex)
-
-
-def pontryagin_residual(p: ConePoint, tol: float = 1e-10) -> float:
-    return pontryagin_check(p, tol).residual
 
 
 def _build_report(

@@ -7,9 +7,9 @@ the Hessian form dominates a multiple of the squared norm:
                =>   f''(d, d) >= (2 - 2/3 - 1) t^2 = t^2 / 3
                =>   f''(d, d) >= (1/6) ||d||^2,
 
-since t^2 >= ||d||^2 / 2 on the cone.  coercivity_certificate checks
-this chain link by link on a concrete direction; the sampled estimates
-below measure how much slack the bound leaves.  Since 2 f_0 = f'', both
+since t^2 >= ||d||^2 / 2 on the cone.  _chain states its four links
+once; the sampled estimates below check them on every sampled direction
+and measure how much slack the bound leaves.  Since 2 f_0 = f'', both
 come from one streamed pass over the sampled directions.
 
 The same identity makes the chain's 1/6 three times looser than a bound
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConePoint, InfeasiblePointError, contains, stationarity_residual
-from .grid import GridFunction, Mesh, l2_norm_sq
+from .cone import ConePoint, stationarity_residual
+from .grid import GridFunction, Mesh
 from .objective import gradient
-from .operators import norm_S_sq, walk_energy
+from .operators import walk_energy
 from .solvers import alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
@@ -43,17 +43,6 @@ _BLOCK_CELLS = 2**18
 def check_stationarity(h: float, p: ConePoint) -> float:
     """Projected-gradient fixed-point residual of f_h at p (p must be in C)."""
     return stationarity_residual(p, gradient(h, p))
-
-
-@dataclass(frozen=True)
-class ChainLink:
-    """One verified inequality, stated as lhs <= rhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-    slack: float
 
 
 def _chain(t2, image, comp):
@@ -71,24 +60,6 @@ def _chain(t2, image, comp):
         ("coercivity_bound", nsq / 6.0, form),
     )
     return form, nsq, links
-
-
-def coercivity_certificate(d: ConePoint, tol: float = 1e-10) -> list[ChainLink]:
-    """Check the coercivity chain on one nonzero cone direction.
-
-    Returns the four links in order; each is an inequality lhs <= rhs
-    allowed slack tol * max(1, t^2).
-    """
-    if not contains(d, tol):
-        raise InfeasiblePointError("certificate directions must lie in the cone")
-    t2 = d.t * d.t
-    _, nsq, links = _chain(t2, norm_S_sq(d.u), l2_norm_sq(d.u))
-    if nsq == 0.0:
-        raise ValueError("certificate directions must be nonzero")
-    scale = tol * max(1.0, t2)
-    return [
-        ChainLink(name, lhs, rhs, lhs <= rhs + scale, rhs - lhs) for name, lhs, rhs in links
-    ]
 
 
 def _exact_constant(n: int) -> float:

@@ -20,7 +20,6 @@ from conelab import (
     Mesh,
     SweepConfig,
     all_plus_signs,
-    apply_S,
     apply_SstarS,
     coercivity_estimate,
     growth_estimate,
@@ -30,15 +29,13 @@ from conelab import (
     norm_S_sq,
     op_norm_SstarS,
     perturbation_sweep,
-    pl_l2_inner,
-    pontryagin_residual,
-    random_feasible_point,
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
     stability_report,
     value,
 )
+from oracles import apply_S, pl_l2_inner, pontryagin_residual, random_feasible_point
 
 MESH_SIZES = (4, 16, 64, 256)
 

@@ -98,6 +98,11 @@ def test_sweep_untilted_row_is_all_zero():
     assert row.prop2_ok is True
 
 
+def test_sweep_row_counts_sign_changes_at_a_tiny_tilt():
+    (row,) = perturbation_sweep(SweepConfig(h_list=[1e-200], n_list=[6]))
+    assert row.sign_changes == 5
+
+
 def test_sweep_preserves_configuration_order():
     cfg = SweepConfig(h_list=[0.5, 0.1], n_list=[4, 2])
     rows = perturbation_sweep(cfg)

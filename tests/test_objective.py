@@ -15,9 +15,9 @@ from conelab import (
     l2_inner,
     norm_X_sq,
     quadratic_decrease,
-    rayleigh_ratio,
     value,
 )
+from oracles import rayleigh_ratio
 
 
 def _point(t, values):

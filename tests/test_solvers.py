@@ -36,10 +36,8 @@ from conelab import (
     norm_X,
     objective,
     pontryagin_check,
-    pontryagin_residual,
     project,
     quadratic_decrease,
-    random_feasible_point,
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
@@ -48,6 +46,7 @@ from conelab import (
 )
 from conelab.experiments import solve_with_canonical_start
 from conelab.operators import _k6_times, walk_energy
+from oracles import pontryagin_residual, random_feasible_point
 
 
 def _exact_gram(n):
@@ -582,6 +581,19 @@ def test_count_sign_changes():
     assert count_sign_changes(np.array([0.0, 0.0, 0.0])) == 0
     assert count_sign_changes(np.array([1.0, 0.0, -1.0])) == 0
     assert count_sign_changes(np.array([2.5])) == 0
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-320])
+def test_sign_changes_of_the_alternating_minimizer_at_tiny_tilts(h):
+    # the products of adjacent cells (about h^2) underflow to -0.0 here;
+    # the signs of the cells do not
+    mesh = Mesh(6)
+    for report in (
+        solve_bruteforce(h, mesh),
+        solve_with_canonical_start(h, mesh, "bangbang"),
+    ):
+        assert report.minimizer.u.values[0] > 0.0
+        assert report.sign_changes == mesh.n - 1
 
 
 def test_random_feasible_point_reproducibility():

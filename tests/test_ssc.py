@@ -15,14 +15,13 @@ from conelab import (
     Mesh,
     alternating_signs,
     check_stationarity,
-    coercivity_certificate,
     coercivity_estimate,
     growth_estimate,
     norm_X,
-    rayleigh_ratio,
 )
 from conelab import ssc
 from conelab.operators import walk_energy
+from oracles import coercivity_certificate, rayleigh_ratio
 
 
 def test_check_stationarity_at_the_apex():
