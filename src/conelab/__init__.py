@@ -20,7 +20,6 @@ from .cone import (
     InfeasiblePointError,
     contains,
     norm_X,
-    norm_X_sq,
     project,
     stationarity_residual,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, Mesh, l2_norm_sq
+from .grid import GridFunction, Mesh
 
 
 class InfeasiblePointError(ValueError):
@@ -44,13 +44,25 @@ class ConePoint:
         return cls(0.0, GridFunction.zeros(mesh))
 
 
-def norm_X_sq(p: ConePoint) -> float:
-    """Squared product norm t^2 + ||u||^2."""
-    return p.t * p.t + l2_norm_sq(p.u)
+def norm_X_values(t: float, u: np.ndarray, width: float) -> float:
+    """The product norm sqrt(t^2 + width * sum(u_i^2)) on bare values.
+
+    Where that sum is not a normal float (it overflows, or underflows off
+    the apex), (t, u) is first divided by m = max(|t|, |u_i|) and the
+    norm multiplied back by m.
+    """
+    s = t * t + width * float(np.dot(u, u))
+    if np.finfo(float).tiny <= s < np.inf:
+        return float(np.sqrt(s))
+    m = max(abs(t), float(np.abs(u).max()))
+    if not 0.0 < m < np.inf:
+        return float(np.sqrt(s))
+    t, u = t / m, u / m
+    return m * float(np.sqrt(t * t + width * float(np.dot(u, u))))
 
 
 def norm_X(p: ConePoint) -> float:
-    return float(np.sqrt(norm_X_sq(p)))
+    return norm_X_values(p.t, p.u.values, p.mesh.width)
 
 
 def contains(p: ConePoint, tol: float = 0.0) -> bool:
@@ -60,8 +72,8 @@ def contains(p: ConePoint, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(p.u.values) <= p.t + tol))
 
 
-def project(p: ConePoint) -> ConePoint:
-    """Nearest point of C in the product norm.
+def project_values(t: float, u: np.ndarray, width: float) -> tuple[float, np.ndarray]:
+    """Nearest point (tau, clipped u) of C to (t, u), in the product norm.
 
     For fixed apex height tau >= 0 the optimal u clips each cell to
     [-tau, tau], so tau minimizes
@@ -78,9 +90,6 @@ def project(p: ConePoint) -> ConePoint:
     Exactly one candidate lands in its own bracket; a negative root
     means phi(0) >= 0 and the projection is the apex.
     """
-    t = p.t
-    u = p.u.values
-    width = p.mesh.width
     a = np.sort(np.abs(u))[::-1]
     prefix = np.concatenate(([0.0], np.cumsum(a)))
     k = np.arange(a.size + 1)
@@ -92,7 +101,13 @@ def project(p: ConePoint) -> ConePoint:
     # exactly one bracket holds the root of phi; float ties agree on tau
     best = int(np.argmax(valid))
     tau_star = max(float(tau[best]), 0.0)
-    return ConePoint(tau_star, GridFunction(p.mesh, np.clip(u, -tau_star, tau_star)))
+    return tau_star, np.clip(u, -tau_star, tau_star)
+
+
+def project(p: ConePoint) -> ConePoint:
+    """Nearest point of C to p (project_values)."""
+    tau, u = project_values(p.t, p.u.values, p.mesh.width)
+    return ConePoint(tau, GridFunction(p.mesh, u))
 
 
 def stationarity_residual(p: ConePoint, g: ConePoint) -> float:
@@ -108,6 +123,4 @@ def stationarity_residual(p: ConePoint, g: ConePoint) -> float:
         raise ValueError("point and gradient live on different meshes")
     moved = ConePoint(p.t - g.t, GridFunction(p.mesh, p.u.values - g.u.values))
     proj = project(moved)
-    dt = p.t - proj.t
-    du = p.u.values - proj.u.values
-    return float(np.sqrt(dt * dt + p.mesh.width * np.dot(du, du)))
+    return norm_X_values(p.t - proj.t, p.u.values - proj.u.values, p.mesh.width)

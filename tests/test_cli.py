@@ -137,7 +137,7 @@ def test_sweep_command_json(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_refuses_non_finite_rows_in_either_format(tmp_path, fmt):
-    # at h = 1e200 the objective overflows: f_star is nan, norms are inf
+    # at h = 1e200 the objective overflows: f_star is nan, norm_Su_sq is inf
     out = tmp_path / f"rows.{fmt}"
     result = run_cli(
         "sweep", "--h-list", "1e200", "--n-list", "8", "--format", fmt, "--out", str(out)
@@ -164,6 +164,20 @@ def test_stability_command():
     assert payload["prop2_bound"] == pytest.approx(0.4)
     assert payload["prop2_ok"] is True
     assert payload["slack"] > 0.0
+
+
+def test_norm_x_at_a_tiny_tilt_in_stability_and_sweep(tmp_path):
+    # t_star is about 1e-200, so t_star^2 underflows to 0
+    stability = json.loads(run_cli("stability", "--n", "64", "--h", "1e-200").stdout)
+    out = tmp_path / "rows.json"
+    result = run_cli(
+        "sweep", "--h-list", "1e-200", "--n-list", "64", "--format", "json", "--out", str(out)
+    )
+    assert result.returncode == 0
+    (row,) = json.loads(out.read_text())
+    for payload in (stability, row):
+        assert payload["t_star"] > 1e-201
+        assert payload["norm_x"] == pytest.approx(2**0.5 * payload["t_star"], rel=1e-14, abs=0.0)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

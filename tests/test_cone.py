@@ -12,10 +12,10 @@ from conelab import (
     contains,
     l2_norm_sq,
     norm_X,
-    norm_X_sq,
     project,
     stationarity_residual,
 )
+from oracles import norm_X_sq
 
 
 def _point(t, values):
@@ -39,6 +39,19 @@ def test_cone_point_basics():
     p = _point(2.0, [1.0, -2.0, 0.5])
     assert_allclose(norm_X_sq(p), 4.0 + (1.0 + 4.0 + 0.25) / 3.0, rtol=1e-15)
     assert_allclose(norm_X(p), np.sqrt(norm_X_sq(p)), rtol=1e-15)
+
+
+def test_norm_X_rescales_only_outside_the_normal_range():
+    rng = np.random.default_rng(30)
+    for n in (1, 7, 64):
+        p = _point(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0, size=n))
+        assert norm_X(p) == float(np.sqrt(norm_X_sq(p)))
+    # t^2 + ||u||^2 underflows or overflows, the norm does not
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        p = _point(scale, [scale, -0.5 * scale])
+        with np.errstate(over="ignore"):
+            assert_allclose(norm_X(p), scale * np.sqrt(1.625), rtol=1e-15)
+    assert norm_X(ConePoint.apex(Mesh(3))) == 0.0
 
 
 def test_contains():

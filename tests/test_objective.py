@@ -13,11 +13,10 @@ from conelab import (
     gradient,
     hessian_form,
     l2_inner,
-    norm_X_sq,
     quadratic_decrease,
     value,
 )
-from oracles import rayleigh_ratio
+from oracles import norm_X_sq, rayleigh_ratio
 
 
 def _point(t, values):

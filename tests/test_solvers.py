@@ -35,6 +35,7 @@ from conelab import (
     gradient,
     norm_X,
     objective,
+    operators,
     pontryagin_check,
     project,
     quadratic_decrease,
@@ -436,6 +437,10 @@ def test_pgd_monotone_descent():
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def _axpy(p, a, q):
+    return ConePoint(p.t + a * q.t, GridFunction(p.mesh, p.u.values + a * q.u.values))
+
+
 def _reference_pgd(h, mesh, start, opts):
     """PGD that projects the unit step twice and re-takes the gradient per trial.
 
@@ -448,16 +453,16 @@ def _reference_pgd(h, mesh, start, opts):
     steps, reached = 0, False
     while True:
         g = gradient(h, x)
-        target = project(solvers._axpy(x, -1.0, g))
-        if norm_X(solvers._axpy(x, -1.0, target)) <= opts.tolerance:
+        target = project(_axpy(x, -1.0, g))
+        if norm_X(_axpy(x, -1.0, target)) <= opts.tolerance:
             reached = True
             break
         if steps >= opts.max_iterations:
             break
         step, accepted = 1.0, None
         while True:
-            candidate = project(solvers._axpy(x, -step, g))
-            move = solvers._axpy(candidate, -1.0, x)
+            candidate = project(_axpy(x, -step, g))
+            move = _axpy(candidate, -1.0, x)
             if quadratic_decrease(gradient(h, x), move) < 0.0:
                 accepted = candidate
                 break
@@ -485,10 +490,25 @@ def test_pgd_matches_the_two_projection_reference():
                     opts = SolverOptions(max_iterations=cap)
                     expected = _reference_pgd(h, mesh, start, opts).to_json()
                     assert solve_pgd(h, mesh, start, opts).to_json() == expected, (n, h, cap)
+    # the benchmark's pgd workload: 8 uniform starts with t = 1 at each of
+    # n = 1024 and 2048 for seeds 1-3, then one such start at n = 4096
+    cells = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        cells += [rng.uniform(-1.0, 1.0, size=n) for n in (1024, 2048) for _ in range(8)]
+    cells.append(np.random.default_rng(4096).uniform(-1.0, 1.0, size=4096))
+    opts = SolverOptions()
+    for u in cells:
+        mesh = Mesh(u.size)
+        start = ConePoint(1.0, GridFunction(mesh, u))
+        expected = _reference_pgd(0.1, mesh, start, opts).to_json()
+        assert solve_pgd(0.1, mesh, start, opts).to_json() == expected, mesh.n
 
 
 def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatch):
-    counts = {"gradient": 0, "project": 0, "quadratic_decrease": 0}
+    # the loop runs the array kernels: K6 u once per gradient, the
+    # projection and the decrease on bare values
+    counts = {"k6": 0, "project": 0, "quadratic_decrease": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -497,27 +517,81 @@ def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatc
 
         return wrapper
 
-    grad = counted("gradient", objective.gradient)
-    monkeypatch.setattr(solvers, "gradient", grad)
-    monkeypatch.setattr(objective, "gradient", grad)
-    monkeypatch.setattr(solvers, "project", counted("project", solvers.project))
+    monkeypatch.setattr(operators, "_k6_times", counted("k6", operators._k6_times))
+    monkeypatch.setattr(solvers, "project_values", counted("project", solvers.project_values))
     monkeypatch.setattr(
-        solvers, "quadratic_decrease", counted("quadratic_decrease", solvers.quadratic_decrease))
+        solvers,
+        "quadratic_decrease_values",
+        counted("quadratic_decrease", solvers.quadratic_decrease_values),
+    )
     rng = np.random.default_rng(7)
     for n in (1, 8, 64, 1024):
         mesh = Mesh(n)
         for cap in (3, SolverOptions().max_iterations):
+            start = random_feasible_point(mesh, rng)
             for key in counts:
                 counts[key] = 0
             opts = SolverOptions(max_iterations=cap)
-            report = solve_pgd(0.1, mesh, random_feasible_point(mesh, rng), opts)
+            report = solve_pgd(0.1, mesh, start, opts)
             assert report.converged or report.iterations == cap
             assert report.iterations >= 1
-            # one per loop pass (iterations + 1) and one in the report
-            assert counts["gradient"] == report.iterations + 2
+            # one gradient per loop pass (iterations + 1) and one S*S u
+            # in the report's pontryagin_check
+            assert counts["k6"] == report.iterations + 2
             # one unit-step projection per pass (iterations + 1) plus one
             # per halving, and each halving follows a rejected trial
             assert counts["project"] == counts["quadratic_decrease"] + 1
+
+
+def test_pgd_builds_a_fixed_number_of_objects_per_solve(monkeypatch):
+    mesh = Mesh(64)
+    start = random_feasible_point(mesh, np.random.default_rng(9))
+    built = {GridFunction: 0, ConePoint: 0}
+    for cls in built:
+        def counting(self, original=cls.__post_init__, cls=cls):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    seen = {}
+    for cap in (1, 2, 5, SolverOptions().max_iterations):
+        built.update({cls: 0 for cls in built})
+        report = solve_pgd(0.1, mesh, start, SolverOptions(max_iterations=cap))
+        seen[report.iterations] = (built[GridFunction], built[ConePoint])
+    # the minimizer and the report's S*S u, whatever the iteration count
+    assert len(seen) >= 3
+    assert set(seen.values()) == {(2, 1)}
+
+
+def test_pgd_refuses_non_finite_values():
+    def solve(n, h, t, u):
+        mesh = Mesh(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve_pgd(h, mesh, ConePoint(t, GridFunction(mesh, u)))
+
+    for n, h, t, u in (
+        (8, 0.1, 1e308, 1e308 * alternating_signs(8)),
+        (8, 0.1, 1e307, 1e307 * alternating_signs(8)),
+        (4, 1e308, 1e308, -1e308 * alternating_signs(4)),
+    ):
+        with pytest.raises(ValueError, match="^cell values must be finite$"):
+            solve(n, h, t, u)
+    # the gradient's t-part 2 t - h overflows
+    with pytest.raises(ValueError, match="^scalar component must be finite, got inf$"):
+        solve(4, 0.0, 1e308, np.zeros(4))
+    # large but finite: no decrease is found, and the start is reported
+    for n, h, t, u in ((8, 1e300, 1e300, 0.5e300 * alternating_signs(8)), (8, 1.7e308, 1.0, np.zeros(8))):
+        report = solve(n, h, t, u)
+        assert (report.iterations, report.converged) == (0, False)
+        assert report.minimizer.t == t
+        assert np.array_equal(report.minimizer.u.values, u)
+
+
+def test_pgd_refuses_a_non_finite_gradient(monkeypatch):
+    monkeypatch.setattr(solvers, "gradient_values", lambda u, w: np.full_like(u, np.nan))
+    mesh = Mesh(8)
+    with pytest.raises(ValueError, match="^cell values must be finite$"):
+        solve_pgd(0.1, mesh, random_feasible_point(mesh, np.random.default_rng(3)))
 
 
 def test_converged_implies_stationarity_below_tolerance():
