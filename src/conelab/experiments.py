@@ -85,12 +85,10 @@ class SweepConfig:
     method: str = "bangbang"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h_list", tuple(float(h) for h in self.h_list))
+        object.__setattr__(self, "h_list", tuple(check_tilt(float(h)) for h in self.h_list))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.h_list or not self.n_list:
             raise ValueError("h_list and n_list must be nonempty")
-        for h in self.h_list:
-            check_tilt(h)
         for n in self.n_list:
             if n < 1:
                 raise ValueError("mesh sizes must be >= 1")
@@ -164,7 +162,7 @@ def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     bang-bang solver's from its canonical coarse-to-fine start
     (solve_with_canonical_start).
     """
-    check_tilt(h)
+    h = check_tilt(h)
     if not delta > 0:
         raise ValueError("delta must be positive")
     report = solve_with_canonical_start(h, mesh, "bangbang")

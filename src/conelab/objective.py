@@ -18,7 +18,7 @@ from .operators import apply_SstarS, norm_S_sq, walk_energy
 def check_tilt(h: float) -> float:
     if not np.isfinite(h) or h < 0:
         raise ValueError(f"tilt must be a finite real >= 0, got {h!r}")
-    return float(h)
+    return float(h) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def value(h: float, p: ConePoint) -> float:

@@ -1,14 +1,16 @@
 """Test oracles that the program itself never calls.
 
 The piecewise-linear image of S and its exact L^2 pairing (the other
-side of the adjoint identity), mesh nodes, the squared product norm, a
-random feasible start, and the coercivity chain checked on one
-direction through ssc._chain.
+side of the adjoint identity), mesh nodes, the squared product norm, the
+cone projection's height by an exact bracket search, a random feasible
+start, and the coercivity chain checked on one direction through
+ssc._chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +25,25 @@ from conelab.solvers import pontryagin_check
 def norm_X_sq(p: ConePoint) -> float:
     """Squared product norm t^2 + ||u||^2."""
     return p.t * p.t + l2_norm_sq(p.u)
+
+
+def exact_projection_height(t: float, u: np.ndarray, width: float) -> Fraction:
+    """The apex height tau of the projection of (t, u) onto the cone, exactly.
+
+    A bracket search in Fraction arithmetic: with |u_i| sorted in
+    descending order a_1 >= ... >= a_n (a_0 = inf, a_{n+1} = -inf), the
+    derivative of the distance in tau is linear on [a_{k+1}, a_k], where
+    its root is (t + width * (a_1 + ... + a_k)) / (1 + width * k).  The
+    first root that lies in its own bracket is the answer (tied brackets
+    share their root), clamped at the apex height 0.
+    """
+    a = sorted((Fraction(abs(float(x))) for x in u), reverse=True)
+    w = Fraction(width)
+    for k in range(len(a) + 1):
+        tau = (Fraction(t) + w * sum(a[:k])) / (1 + w * k)
+        if (k == 0 or tau <= a[k - 1]) and (k == len(a) or tau >= a[k]):
+            return max(tau, Fraction(0))
+    raise AssertionError("no bracket holds the root")
 
 
 def nodes(mesh: Mesh) -> np.ndarray:

@@ -180,6 +180,25 @@ def test_norm_x_at_a_tiny_tilt_in_stability_and_sweep(tmp_path):
         assert payload["norm_x"] == pytest.approx(2**0.5 * payload["t_star"], rel=1e-14, abs=0.0)
 
 
+def test_exact_minimizer_at_a_tiny_tilt_is_converged():
+    # stationarity scales with h; a 1e-12 floor in the projection kept it at ||x||
+    result = run_cli(
+        "solve", "--method", "bangbang", "--n", "64", "--h", "1e-13", "--tol", "1e-20"
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["converged"] is True
+
+
+def test_a_negative_zero_tilt_is_echoed_as_zero(tmp_path):
+    stability = run_cli("stability", "--n", "4", "--h", "-0")
+    out = tmp_path / "rows.csv"
+    sweep = run_cli("sweep", "--h-list", "-0", "--n-list", "4", "--out", str(out))
+    assert stability.returncode == 0 and sweep.returncode == 0
+    # every value is zero, so no field may print a sign
+    assert "-0" not in stability.stdout
+    assert "-0" not in out.read_text()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = run_cli("verify-ssc", "--n", "8", "--samples", "300")
     second = run_cli("verify-ssc", "--n", "8", "--samples", "300")

@@ -1,5 +1,7 @@
 """Cone membership, nearest-point projection, and the stationarity residual."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,8 @@ from conelab import (
     project,
     stationarity_residual,
 )
-from oracles import norm_X_sq
+from conelab.cone import project_values
+from oracles import exact_projection_height, norm_X_sq
 
 
 def _point(t, values):
@@ -86,6 +89,36 @@ def test_project_known_values():
     assert_allclose([q.t, q.u.values[0]], [1.25, 1.25], rtol=1e-15)
 
 
+def _projection_cases():
+    rng = np.random.default_rng(11)
+    yield 0.0, np.zeros(3)
+    yield -1.0, np.zeros(2)
+    yield 0.0, np.array([-0.0])
+    for scale in 10.0 ** np.arange(-300, 301, 25):
+        for n in range(1, 10):
+            for _ in range(6):
+                u = scale * rng.normal(size=n)
+                t = scale * float(rng.normal())
+                yield t, u
+                yield -abs(t), u
+                # exact ties, zero cells among them
+                yield t, scale * rng.integers(-3, 4, size=n).astype(float)
+                # in the polar cone, which projects to the apex
+                yield -2.0 * float(np.abs(u).max()), u
+
+
+def test_project_matches_the_exact_bracket_root():
+    # the exact bracket search, in Fraction arithmetic, at every scale
+    # where the sums stay finite; no absolute floor on the error
+    for t, u in _projection_cases():
+        width = 1.0 / u.size
+        tau, v = project_values(t, u, width)
+        exact = exact_projection_height(t, u, width)
+        scale = max(abs(t), float(np.abs(u).max()))
+        assert abs(Fraction(tau) - exact) <= Fraction(1e-15) * Fraction(scale), (t, u)
+        assert np.array_equal(v, np.clip(u, -tau, tau))
+
+
 def test_project_against_grid_search_oracle():
     rng = np.random.default_rng(6)
     for n in (1, 2, 3, 6):
@@ -144,6 +177,11 @@ def test_project_is_nonexpansive_and_positively_homogeneous():
         direct = project(p)
         assert_allclose(scaled.t, lam * direct.t, rtol=1e-12, atol=1e-14)
         assert_allclose(scaled.u.values, lam * direct.u.values, rtol=1e-12, atol=1e-14)
+        # atol=1e-14 passes anything at these scales, so rtol alone
+        for lam in (1e-13, 1e-200):
+            scaled = project(ConePoint(lam * p.t, GridFunction(mesh, lam * p.u.values)))
+            assert_allclose(scaled.t, lam * direct.t, rtol=1e-12, atol=0.0)
+            assert_allclose(scaled.u.values, lam * direct.u.values, rtol=1e-12, atol=0.0)
 
 
 def test_stationarity_residual_values():

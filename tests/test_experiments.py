@@ -43,6 +43,8 @@ def test_sweep_config_validation():
         SweepConfig(h_list=[0.1], n_list=[4], method="simplex")
     # an untilted column is legitimate
     SweepConfig(h_list=[0.0], n_list=[4])
+    # and a negative zero is stored without its sign
+    assert not np.signbit(SweepConfig(h_list=[-0.0], n_list=[4]).h_list).any()
 
 
 def test_sweep_row_closed_form_eight_cells():

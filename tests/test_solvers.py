@@ -611,6 +611,18 @@ def test_converged_implies_stationarity_below_tolerance():
                 assert contains(report.minimizer)
 
 
+@pytest.mark.parametrize("h", [1.0, 0.1, 1e-13, 1e-100, 1e-200])
+def test_stationarity_is_homogeneous_in_the_tilt(h):
+    # the minimizer scales with h, so its first-order residual must too
+    for n in (1, 2, 3, 5, 8, 64, 257, 1000):
+        mesh = Mesh(n)
+        for report in (
+            solve_bruteforce(h, mesh),
+            solve_with_canonical_start(h, mesh, "bangbang"),
+        ):
+            assert report.stationarity <= 1e-14 * h, (n, report.method)
+
+
 def test_ray_optimum_brackets_the_one_dimensional_minimum():
     rng = np.random.default_rng(55)
     mesh = Mesh(6)
