@@ -66,10 +66,12 @@ def norm_X(p: ConePoint) -> float:
 
 
 def contains(p: ConePoint, tol: float = 0.0) -> bool:
-    """Whether |u_i| <= t + tol on every cell (and t >= -tol)."""
-    if p.t < -tol:
-        return False
-    return bool(np.all(np.abs(p.u.values) <= p.t + tol))
+    """Whether |u_i| <= t * (1 + tol) on every cell (so t >= 0).
+
+    The slack is relative, so a point counts as feasible at every scale
+    by the same measure; at the apex t = 0 only u = 0 passes.
+    """
+    return bool(np.all(np.abs(p.u.values) <= p.t * (1.0 + tol)))
 
 
 def project_values(t: float, u: np.ndarray, width: float) -> tuple[float, np.ndarray]:

@@ -244,16 +244,58 @@ def solve_pgd(
     return _build_report(h, "pgd", x, steps, reached, opts, stationarity=residual)
 
 
-def _single_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+# Every integer the gain scan of a pass forms has magnitude at most
+# 18 n^2 (see _descend), so float64 holds it exactly while 18 n^2 < 2^53.
+_SCAN_MAX_N = math.isqrt((2**53 - 1) // 18)  # 22,369,621
+
+
+def _first_move(
+    s: list[int], a: np.ndarray | None, total: int, polish: bool, pair: bool
+) -> tuple[int, int, int] | None:
+    # Where a pass's loop starts: the first cell i (pair i, i+1) whose
+    # move condition holds, with P, the sum of the signs before i, and Q,
+    # the sum of tail_j s_j after i.  No cell has moved before it, so
+    # every gain up to it is read at once off prefix sums of the float
+    # copy a of the signs.  None when no cell qualifies.  Without a (n
+    # past _SCAN_MAX_N) the loop starts at cell 0.
+    if a is None:
+        return 0, 0, total - (6 * len(s) - 3) * s[0]
+    tails = np.arange(6.0 * len(s) - 3.0, 0.0, -6.0)  # 6 n - 3 - 6 j
+    w = tails * a
+    P = np.cumsum(a) - a
+    Q = total - np.cumsum(w)
+    if pair:
+        gain = (w[:-1] + w[1:]) * P[:-1] + (a[:-1] + a[1:]) * Q[1:]
+        first = a[:-1]
+    else:
+        gain = a * (tails * P + Q)
+        first = a
+    move = (first < 0) & (gain == 0) if polish else gain > 0
+    k = int(move.argmax()) if move.size else 0
+    if not (move.size and move[k]):
+        return None
+    return k, int(P[k]), int(Q[k])
+
+
+def _single_flips(
+    s: list[int], a: np.ndarray | None, total: int, polish: bool
+) -> tuple[int, bool]:
     # One left-to-right pass of single flips over s, in place; total is
     # sum_j tail_j s_j with tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j.  The
     # cells ahead of i are still untouched, so with P the sum of the
     # signs before i (this pass's flips included) and Q the sum of
     # tail_j s_j after i, flipping cell i lowers sigma' K6 sigma by
-    # 4 s_i (tail_i P + Q).  Returns the new total and whether a cell flipped.
-    P, Q, t = 0, total, 6 * len(s) - 3
+    # 4 s_i (tail_i P + Q).  The loop starts at _first_move's cell k and
+    # then refreshes a from k on.  Returns the new total and whether a
+    # cell flipped.
+    start = _first_move(s, a, total, polish, pair=False)
+    if start is None:
+        return total, False
+    k, P, Q = start
+    t = 6 * len(s) - 3 - 6 * k
+    Q += t * s[k]  # the loop takes cell k's own term off first
     moved = False
-    for i in range(len(s)):
+    for i in range(k, len(s)):
         si = s[i]
         Q -= t * si
         gain = si * (t * P + Q)
@@ -263,18 +305,25 @@ def _single_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
             moved = True
         P += si
         t -= 6
+    if a is not None:
+        a[k:] = s[k:]
     return total, moved
 
 
-def _pair_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+def _pair_flips(
+    s: list[int], a: np.ndarray | None, total: int, polish: bool
+) -> tuple[int, bool]:
     # The same for flipping cells i and i+1 together.  The two single
     # gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum
     # to (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R with R the
     # sum of tail_j s_j after i+1.
-    P, t = 0, 6 * len(s) - 3
-    Q = total - t * s[0]
+    start = _first_move(s, a, total, polish, pair=True)
+    if start is None:
+        return total, False
+    k, P, Q = start
+    t = 6 * len(s) - 3 - 6 * k
     moved = False
-    for i in range(len(s) - 1):
+    for i in range(k, len(s) - 1):
         si, sj, u = s[i], s[i + 1], t - 6
         R = Q - u * sj
         gain = (si * t + sj * u) * P + (si + sj) * R
@@ -284,22 +333,50 @@ def _pair_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
             moved = True
         P += si
         Q, t = R, u
+    if a is not None:
+        a[k:] = s[k:]
     return total, moved
 
 
 def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
-    # The sweep loop of solve_bangbang on the signs s, in place: strict
-    # single and pair passes, then the polish passes once neither moves.
-    # Returns the sweeps run and whether s settled within max_sweeps.
-    total = sum((6 * len(s) - 3 - 6 * j) * x for j, x in enumerate(s))
+    """The sweep loop of solve_bangbang on the signs s, in place.
+
+    Strict single and pair passes, then the polish passes once neither
+    moves.  Returns the sweeps run and whether s settled within
+    max_sweeps.
+
+    Most passes move nothing (on a nested level 8 of its 10), so each
+    pass first scans for its first move on a float64 copy a of the
+    signs, kept here and refreshed by a moving pass from its first moved
+    cell on.  With w_j = tail_j a_j, P = cumsum(a) - a (the signs before
+    i) and Q = total - cumsum(w) (tail_j a_j after i), the single gain is
+    a_i (tail_i P_i + Q_i) and the pair gain (w_i + w_{i+1}) P_i +
+    (a_i + a_{i+1}) Q_{i+1}.  A pass whose scan finds no move returns
+    at once; otherwise its Python-int loop runs from the first move with
+    the scan's P and Q there, so the visit order, every move and the
+    sweep count are those of a walk over every cell.
+
+    The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n and |Q| <= sum
+    of the tails = 3 n^2, so a single gain is below 6 n^2 + 3 n^2 and a
+    pair gain below 12 n * n + 2 * 3 n^2 = 18 n^2 in magnitude, and
+    every intermediate is an integer held exactly in float64 while
+    18 n^2 < 2^53, that is n <= _SCAN_MAX_N = 22,369,621.  Past that
+    size no copy is kept and every pass walks from cell 0.
+    """
+    n = len(s)
+    if n <= _SCAN_MAX_N:
+        a = np.array(s, dtype=float)
+        total = int(np.dot(np.arange(6.0 * n - 3.0, 0.0, -6.0), a))
+    else:
+        a, total = None, sum((6 * n - 3 - 6 * j) * x for j, x in enumerate(s))
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        total, single = _single_flips(s, total, polish=False)
-        total, pair = _pair_flips(s, total, polish=False)
+        total, single = _single_flips(s, a, total, polish=False)
+        total, pair = _pair_flips(s, a, total, polish=False)
         if not (single or pair):
-            total, single = _single_flips(s, total, polish=True)
-            total, pair = _pair_flips(s, total, polish=True)
+            total, single = _single_flips(s, a, total, polish=True)
+            total, pair = _pair_flips(s, a, total, polish=True)
             if not (single or pair):
                 return sweeps, True
     return sweeps, False
@@ -356,8 +433,12 @@ def solve_bangbang(
     each gain is an exact integer from two running sums: the sum of the
     signs behind the cell and the sum of tail_j sigma_j over the cells
     ahead of it, where tail_j = 6 n + 3 - 6 j (1-based) is K6[k, j] for
-    every k < j.  A pass is O(n) on Python ints; no K6 sigma vector is
-    kept.
+    every k < j.  A pass is O(n); no K6 sigma vector is kept.  Before its
+    Python-int loop, each pass reads every gain at once from float64
+    prefix sums of the untouched signs, exact while 18 n^2 < 2^53
+    (_descend derives the bound), and returns without a loop when no
+    move applies; otherwise the loop starts at the first move.  The
+    visit order and every move are those of a walk over every cell.
 
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot

@@ -3,8 +3,10 @@
 The piecewise-linear image of S and its exact L^2 pairing (the other
 side of the adjoint identity), mesh nodes, the squared product norm, the
 cone projection's height by an exact bracket search, a random feasible
-start, and the coercivity chain checked on one direction through
-ssc._chain.
+start, the coercivity chain checked on one direction through
+ssc._chain, and the bang-bang sweep loop as a walk over every cell on
+Python ints (_single_flips, _pair_flips and _descend), the form that
+solvers._descend shortens with its gain scan.
 """
 
 from __future__ import annotations
@@ -134,3 +136,64 @@ def coercivity_certificate(d: ConePoint, tol: float = 1e-10) -> list[ChainLink]:
     return [
         ChainLink(name, lhs, rhs, lhs <= rhs + scale, rhs - lhs) for name, lhs, rhs in links
     ]
+
+
+def _single_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+    # One left-to-right pass of single flips over s, in place; total is
+    # sum_j tail_j s_j with tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j.  The
+    # cells ahead of i are still untouched, so with P the sum of the
+    # signs before i (this pass's flips included) and Q the sum of
+    # tail_j s_j after i, flipping cell i lowers sigma' K6 sigma by
+    # 4 s_i (tail_i P + Q).  Returns the new total and whether a cell flipped.
+    P, Q, t = 0, total, 6 * len(s) - 3
+    moved = False
+    for i in range(len(s)):
+        si = s[i]
+        Q -= t * si
+        gain = si * (t * P + Q)
+        if (si < 0 and gain == 0) if polish else gain > 0:
+            si = s[i] = -si
+            total += 2 * t * si
+            moved = True
+        P += si
+        t -= 6
+    return total, moved
+
+
+def _pair_flips(s: list[int], total: int, polish: bool) -> tuple[int, bool]:
+    # The same for flipping cells i and i+1 together.  The two single
+    # gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum
+    # to (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R with R the
+    # sum of tail_j s_j after i+1.
+    P, t = 0, 6 * len(s) - 3
+    Q = total - t * s[0]
+    moved = False
+    for i in range(len(s) - 1):
+        si, sj, u = s[i], s[i + 1], t - 6
+        R = Q - u * sj
+        gain = (si * t + sj * u) * P + (si + sj) * R
+        if (si < 0 and gain == 0) if polish else gain > 0:
+            si, sj = s[i], s[i + 1] = -si, -sj
+            total += 2 * (t * si + u * sj)
+            moved = True
+        P += si
+        Q, t = R, u
+    return total, moved
+
+
+def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
+    # The sweep loop of solve_bangbang on the signs s, in place: strict
+    # single and pair passes, then the polish passes once neither moves.
+    # Returns the sweeps run and whether s settled within max_sweeps.
+    total = sum((6 * len(s) - 3 - 6 * j) * x for j, x in enumerate(s))
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        total, single = _single_flips(s, total, polish=False)
+        total, pair = _pair_flips(s, total, polish=False)
+        if not (single or pair):
+            total, single = _single_flips(s, total, polish=True)
+            total, pair = _pair_flips(s, total, polish=True)
+            if not (single or pair):
+                return sweeps, True
+    return sweeps, False

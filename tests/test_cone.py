@@ -65,6 +65,19 @@ def test_contains():
     assert contains(_point(1.0, [1.0 + 1e-6]), tol=1e-5)
 
 
+def test_feasibility_slack_is_relative_to_t():
+    # |u_i| = 30 t lies outside the cone however small t is
+    far = _point(1e-12, [3e-11, -3e-11])
+    assert not contains(far, 1e-10)
+    with pytest.raises(InfeasiblePointError):
+        stationarity_residual(far, ConePoint.apex(far.mesh))
+    # the slack is t * tol: at the apex only u = 0 passes
+    assert contains(_point(1e-12, [1e-12 * (1.0 + 1e-11)]), 1e-10)
+    assert not contains(_point(1e-12, [1e-12 * (1.0 + 1e-9)]), 1e-10)
+    assert contains(_point(0.0, [0.0, -0.0]), 1e-10)
+    assert not contains(_point(0.0, [1e-300]), 1e-10)
+
+
 def test_project_fixes_feasible_points_exactly():
     rng = np.random.default_rng(5)
     for n in (1, 2, 9):

@@ -47,6 +47,7 @@ from conelab import (
 )
 from conelab.experiments import solve_with_canonical_start
 from conelab.operators import _k6_times, walk_energy
+import oracles
 from oracles import pontryagin_residual, random_feasible_point
 
 
@@ -312,6 +313,73 @@ def test_bangbang_matches_the_k6_vector_reference():
                 opts = SolverOptions(max_iterations=cap)
                 expected = _reference_bangbang(h, mesh, start, opts).to_json()
                 assert solve_bangbang(h, mesh, start, opts).to_json() == expected
+
+
+def _assert_scan_starts_at_the_first_move(s):
+    # each pass's scan names the first cell the walk over every cell
+    # moves, with the exact sums P (signs before it) and Q (tail_j s_j
+    # after it), and None when the walk moves nothing
+    n = len(s)
+    tails = [6 * n - 3 - 6 * j for j in range(n)]
+    total = sum(t * x for t, x in zip(tails, s))
+    for walk, pair in ((oracles._single_flips, False), (oracles._pair_flips, True)):
+        for polish in (False, True):
+            moved = list(s)
+            walk(moved, total, polish)
+            k = next((i for i in range(n) if moved[i] != s[i]), None)
+            start = solvers._first_move(s, np.array(s, dtype=float), total, polish, pair)
+            if k is None:
+                assert start is None, (n, pair, polish)
+            else:
+                tail_sum = sum(t * x for t, x in zip(tails[k + 1 :], s[k + 1 :]))
+                assert start == (k, sum(s[:k]), tail_sum), (n, pair, polish)
+
+
+def test_descend_matches_the_walk_over_every_cell(monkeypatch):
+    # the gain scan only skips the cells before a pass's first move, so
+    # the signs, the sweeps and the settled flag are those of the
+    # scan-free loop on every start and at every sweep cap
+    rng = np.random.default_rng(15)
+    sizes = [*range(1, 201), 257, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097]
+    for n in sizes:
+        for cap in (1, 2, 3, 100000):
+            random_start = rng.choice([-1, 1], size=n).tolist()
+            for start in (random_start, solvers.nested_bangbang_start(n, cap)):
+                s, expected = list(start), list(start)
+                assert solvers._descend(s, cap) == oracles._descend(expected, cap), (n, cap)
+                assert s == expected, (n, cap)
+                if n <= 200:
+                    _assert_scan_starts_at_the_first_move(start)
+                    _assert_scan_starts_at_the_first_move(s)
+    cap = SolverOptions().max_iterations
+    start = solvers.nested_bangbang_start(65536, cap)
+    s, expected = list(start), list(start)
+    assert solvers._descend(s, cap) == oracles._descend(expected, cap)
+    assert s == expected
+    # the nested start itself, built on every level by the walk
+    monkeypatch.setattr(solvers, "_descend", oracles._descend)
+    assert solvers.nested_bangbang_start(65536, cap) == start
+
+
+def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
+    # every integer the scan forms is below 18 n^2 in magnitude, and
+    # float64 holds the integers below 2^53 exactly
+    n_max = solvers._SCAN_MAX_N
+    assert n_max == 22_369_621
+    assert 18 * n_max**2 < 2**53 <= 18 * (n_max + 1) ** 2
+    cases = [(n, h) for n in (1, 2, 65, 257, 4096) for h in (0.1, 1.0)]
+
+    def reports():
+        out = []
+        for n, h in cases:
+            out.append(solve_with_canonical_start(h, Mesh(n), "bangbang").to_json())
+            out.append(solve_bangbang(h, Mesh(n), all_plus_signs(n)).to_json())
+        return out
+
+    scanned = reports()
+    # past the bound no pass scans; every pass walks from cell 0
+    monkeypatch.setattr(solvers, "_SCAN_MAX_N", 0)
+    assert reports() == scanned
 
 
 def test_bangbang_two_and_four_cells():
@@ -659,6 +727,9 @@ def test_pontryagin_check_errors():
     mesh = Mesh(2)
     with pytest.raises(InfeasiblePointError):
         pontryagin_check(ConePoint(0.1, GridFunction.constant(mesh, 1.0)))
+    # |u_i| = 30 t is outside the cone at every scale, tiny ones included
+    with pytest.raises(InfeasiblePointError):
+        pontryagin_check(ConePoint(1e-12, GridFunction(mesh, np.array([3e-11, -3e-11]))))
 
 
 def test_count_sign_changes():
