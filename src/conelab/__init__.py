@@ -34,7 +34,7 @@ from .experiments import (
     write_rows,
 )
 from .grid import GridFunction, Mesh, MeshMismatchError, l2_inner, l2_norm_sq
-from .objective import check_tilt, gradient, hessian_form, quadratic_decrease, value
+from .objective import check_tilt, gradient, hessian_form, value
 from .operators import apply_SstarS, norm_S_sq, op_norm_SstarS
 from .solvers import (
     PontryaginCheck,

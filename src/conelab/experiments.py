@@ -107,8 +107,10 @@ def solve_with_canonical_start(
     starts from all-plus and builds no coarse level).  pgd starts from
     the projection of (h, 0), and brute needs no start.  Each start is
     a pure function of the mesh and opts.max_iterations, which keeps
-    sweep rows reproducible without hidden state.
+    sweep rows reproducible without hidden state.  A negative or
+    non-finite h is refused before any start is built.
     """
+    h = check_tilt(h)
     opts = opts or SolverOptions()
     if method == "bangbang":
         if h == 0:

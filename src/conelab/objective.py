@@ -47,15 +47,9 @@ def hessian_form(d: ConePoint) -> float:
 def quadratic_decrease_values(
     gt: float, gu: np.ndarray, st: float, su: np.ndarray, width: float
 ) -> float:
-    """quadratic_decrease on bare values: g = (gt, gu), step = (st, su)."""
-    inner = gt * st + width * float(np.dot(gu, su))
-    energy = float(width**3 / 3.0 * walk_energy(su))  # norm_S_sq(step_u)
-    return inner + st * st + energy - 0.5 * (width * float(np.dot(su, su)))
+    """Exact change f_h(p + step) - f_h(p) from the gradient g at p.
 
-
-def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
-    """Exact change f_h(p + step) - f_h(p), given g = gradient(h, p).
-
+    g = (gt, gu) is gradient(h, p) and step = (st, su), as bare values.
     The objective is quadratic, so the change equals
     <g, step> + step_t^2 + ||S step_u||^2 - (1/2)||step_u||^2
     identically.  Evaluating it this way avoids the cancellation that
@@ -63,5 +57,7 @@ def quadratic_decrease(g: ConePoint, step: ConePoint) -> float:
     near a stationary point.  Taking g from the caller lets solve_pgd
     reuse one gradient for every backtracking trial.
     """
-    return quadratic_decrease_values(g.t, g.u.values, step.t, step.u.values, g.mesh.width)
+    inner = gt * st + width * float(np.dot(gu, su))
+    energy = float(width**3 / 3.0 * walk_energy(su))  # norm_S_sq(step_u)
+    return inner + st * st + energy - 0.5 * (width * float(np.dot(su, su)))
 

@@ -11,9 +11,10 @@
   the best pattern therefore means minimizing m over sign vectors, and
   m = (width^3 / 6) sigma' K6 sigma = (width^3 / 3) E(sigma) with the
   integer matrix K6 and the integer walk energy E of operators, so all
-  pattern comparisons are exact integer comparisons.  A sweep reads
-  every flip gain from running prefix and suffix sums of the signs,
-  O(n) per sweep with no K6 sigma vector.
+  pattern comparisons are exact integer comparisons.  Every pass of a
+  sweep, single or pair, strict or polish, is one function that reads
+  each flip gain from prefix and suffix sums of the signs, O(n) per
+  sweep with no K6 sigma vector and no running total between passes.
 * solve_bruteforce: the exact global minimum over all 2^n sign
   patterns, the oracle the iterative methods are tested against.  By
   the step-cost lemma of operators.walk_energy the minimizers are the
@@ -27,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,14 +202,16 @@ def solve_pgd(
     """Projected gradient descent from a feasible start.
 
     Each iteration takes one gradient g at x and projects x - alpha * g
-    back onto the cone, alpha halved from 1 until quadratic_decrease is
-    negative.  The unit-step move project(x - g) - x serves twice: its
-    norm, the fixed-point residual, stops the iteration at opts.tolerance
-    and is the report's stationarity, and otherwise it is the step-1
-    trial.  A stall (step below 1e-16 with no decrease) stops it with
-    converged=False.  x is kept as a float t and an array u for the array
-    kernels behind gradient, project and quadratic_decrease; a non-finite
-    gradient, x - alpha * g or move raises the error of its ConePoint.
+    back onto the cone, alpha halved from 1 until the exact change
+    quadratic_decrease_values is negative.  The unit-step move
+    project(x - g) - x serves twice: its norm, the fixed-point residual,
+    stops the iteration at opts.tolerance and is the report's
+    stationarity, and otherwise it is the step-1 trial.  A stall (step
+    below 1e-16 with no decrease) stops it with converged=False.  x is
+    kept as a float t and an array u for the array kernels
+    gradient_values, project_values and quadratic_decrease_values; a
+    non-finite gradient, x - alpha * g or move raises the error of its
+    ConePoint.
     """
     opts = opts or SolverOptions()
     if start.mesh != mesh:
@@ -250,20 +254,24 @@ _SCAN_MAX_N = math.isqrt((2**53 - 1) // 18)  # 22,369,621
 
 
 def _first_move(
-    s: list[int], a: np.ndarray | None, total: int, polish: bool, pair: bool
+    s: list[int], a: np.ndarray | None, polish: bool, pair: bool
 ) -> tuple[int, int, int] | None:
     # Where a pass's loop starts: the first cell i (pair i, i+1) whose
     # move condition holds, with P, the sum of the signs before i, and Q,
     # the sum of tail_j s_j after i.  No cell has moved before it, so
     # every gain up to it is read at once off prefix sums of the float
     # copy a of the signs.  None when no cell qualifies.  Without a (n
-    # past _SCAN_MAX_N) the loop starts at cell 0.
+    # past _SCAN_MAX_N) the loop starts at cell 0, where Q is summed on
+    # Python ints: tail_j = 6 n - 9 - 6 (j - 1), and the sum of
+    # (j - 1) s_j over j >= 2 is the sum of the suffix sums of s[2:].
+    n = len(s)
     if a is None:
-        return 0, 0, total - (6 * len(s) - 3) * s[0]
-    tails = np.arange(6.0 * len(s) - 3.0, 0.0, -6.0)  # 6 n - 3 - 6 j
+        return 0, 0, (6 * n - 9) * sum(s[1:]) - 6 * sum(accumulate(reversed(s[2:])))
+    tails = np.arange(6.0 * n - 3.0, 0.0, -6.0)  # 6 n - 3 - 6 j
     w = tails * a
+    C = np.cumsum(w)
     P = np.cumsum(a) - a
-    Q = total - np.cumsum(w)
+    Q = C[-1] - C
     if pair:
         gain = (w[:-1] + w[1:]) * P[:-1] + (a[:-1] + a[1:]) * Q[1:]
         first = a[:-1]
@@ -277,106 +285,84 @@ def _first_move(
     return k, int(P[k]), int(Q[k])
 
 
-def _single_flips(
-    s: list[int], a: np.ndarray | None, total: int, polish: bool
-) -> tuple[int, bool]:
-    # One left-to-right pass of single flips over s, in place; total is
-    # sum_j tail_j s_j with tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j.  The
+def _flips(s: list[int], a: np.ndarray | None, polish: bool, pair: bool) -> bool:
+    # One left-to-right pass over s, in place, of single flips or of
+    # flips of the pairs i, i+1; returns whether a cell flipped.  The
     # cells ahead of i are still untouched, so with P the sum of the
     # signs before i (this pass's flips included) and Q the sum of
-    # tail_j s_j after i, flipping cell i lowers sigma' K6 sigma by
-    # 4 s_i (tail_i P + Q).  The loop starts at _first_move's cell k and
-    # then refreshes a from k on.  Returns the new total and whether a
-    # cell flipped.
-    start = _first_move(s, a, total, polish, pair=False)
+    # tail_j s_j after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j, flipping
+    # cell i lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The two
+    # single gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1]
+    # coupling) sum to the pair gain (s_i tail_i + s_{i+1} tail_{i+1}) P +
+    # (s_i + s_{i+1}) R with R the sum of tail_j s_j after i+1.  The loop
+    # starts at _first_move's cell k and then refreshes a from k on.
+    start = _first_move(s, a, polish, pair)
     if start is None:
-        return total, False
-    k, P, Q = start
-    t = 6 * len(s) - 3 - 6 * k
-    Q += t * s[k]  # the loop takes cell k's own term off first
-    moved = False
-    for i in range(k, len(s)):
-        si = s[i]
-        Q -= t * si
-        gain = si * (t * P + Q)
-        if (si < 0 and gain == 0) if polish else gain > 0:
-            si = s[i] = -si
-            total += 2 * t * si
-            moved = True
-        P += si
-        t -= 6
-    if a is not None:
-        a[k:] = s[k:]
-    return total, moved
-
-
-def _pair_flips(
-    s: list[int], a: np.ndarray | None, total: int, polish: bool
-) -> tuple[int, bool]:
-    # The same for flipping cells i and i+1 together.  The two single
-    # gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum
-    # to (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R with R the
-    # sum of tail_j s_j after i+1.
-    start = _first_move(s, a, total, polish, pair=True)
-    if start is None:
-        return total, False
+        return False
     k, P, Q = start
     t = 6 * len(s) - 3 - 6 * k
     moved = False
-    for i in range(k, len(s) - 1):
-        si, sj, u = s[i], s[i + 1], t - 6
-        R = Q - u * sj
-        gain = (si * t + sj * u) * P + (si + sj) * R
-        if (si < 0 and gain == 0) if polish else gain > 0:
-            si, sj = s[i], s[i + 1] = -si, -sj
-            total += 2 * (t * si + u * sj)
-            moved = True
-        P += si
-        Q, t = R, u
+    if pair:
+        for i in range(k, len(s) - 1):
+            si, sj, u = s[i], s[i + 1], t - 6
+            R = Q - u * sj
+            gain = (si * t + sj * u) * P + (si + sj) * R
+            if (si < 0 and gain == 0) if polish else gain > 0:
+                si, sj = s[i], s[i + 1] = -si, -sj
+                moved = True
+            P += si
+            Q, t = R, u
+    else:
+        Q += t * s[k]  # the loop takes cell k's own term off first
+        for i in range(k, len(s)):
+            si = s[i]
+            Q -= t * si
+            gain = si * (t * P + Q)
+            if (si < 0 and gain == 0) if polish else gain > 0:
+                si = s[i] = -si
+                moved = True
+            P += si
+            t -= 6
     if a is not None:
         a[k:] = s[k:]
-    return total, moved
+    return moved
 
 
 def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
     """The sweep loop of solve_bangbang on the signs s, in place.
 
     Strict single and pair passes, then the polish passes once neither
-    moves.  Returns the sweeps run and whether s settled within
-    max_sweeps.
+    moves; every pass is _flips.  Returns the sweeps run and whether s
+    settled within max_sweeps.
 
     Most passes move nothing (on a nested level 8 of its 10), so each
     pass first scans for its first move on a float64 copy a of the
     signs, kept here and refreshed by a moving pass from its first moved
-    cell on.  With w_j = tail_j a_j, P = cumsum(a) - a (the signs before
-    i) and Q = total - cumsum(w) (tail_j a_j after i), the single gain is
-    a_i (tail_i P_i + Q_i) and the pair gain (w_i + w_{i+1}) P_i +
-    (a_i + a_{i+1}) Q_{i+1}.  A pass whose scan finds no move returns
-    at once; otherwise its Python-int loop runs from the first move with
-    the scan's P and Q there, so the visit order, every move and the
-    sweep count are those of a walk over every cell.
+    cell on.  With w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a
+    (the signs before i) and Q = C[-1] - C (tail_j a_j after i), the
+    single gain is a_i (tail_i P_i + Q_i) and the pair gain
+    (w_i + w_{i+1}) P_i + (a_i + a_{i+1}) Q_{i+1}.  No running total of
+    tail_j s_j is carried between passes.  A pass whose scan finds no
+    move returns at once; otherwise its Python-int loop runs from the
+    first move with the scan's P and Q there, so the visit order, every
+    move and the sweep count are those of a walk over every cell.
 
-    The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n and |Q| <= sum
-    of the tails = 3 n^2, so a single gain is below 6 n^2 + 3 n^2 and a
-    pair gain below 12 n * n + 2 * 3 n^2 = 18 n^2 in magnitude, and
+    The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n and |C|, |Q| <=
+    sum of the tails = 3 n^2, so a single gain is below 6 n^2 + 3 n^2 and
+    a pair gain below 12 n * n + 2 * 3 n^2 = 18 n^2 in magnitude, and
     every intermediate is an integer held exactly in float64 while
     18 n^2 < 2^53, that is n <= _SCAN_MAX_N = 22,369,621.  Past that
     size no copy is kept and every pass walks from cell 0.
     """
-    n = len(s)
-    if n <= _SCAN_MAX_N:
-        a = np.array(s, dtype=float)
-        total = int(np.dot(np.arange(6.0 * n - 3.0, 0.0, -6.0), a))
-    else:
-        a, total = None, sum((6 * n - 3 - 6 * j) * x for j, x in enumerate(s))
+    a = np.array(s, dtype=float) if len(s) <= _SCAN_MAX_N else None
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        total, single = _single_flips(s, a, total, polish=False)
-        total, pair = _pair_flips(s, a, total, polish=False)
+        single = _flips(s, a, polish=False, pair=False)
+        pair = _flips(s, a, polish=False, pair=True)
         if not (single or pair):
-            total, single = _single_flips(s, a, total, polish=True)
-            total, pair = _pair_flips(s, a, total, polish=True)
+            single = _flips(s, a, polish=True, pair=False)
+            pair = _flips(s, a, polish=True, pair=True)
             if not (single or pair):
                 return sweeps, True
     return sweeps, False
@@ -429,16 +415,17 @@ def solve_bangbang(
     lexicographically smallest member (+1 before -1) without changing m,
     so tied runs land on one canonical pattern.
 
-    Within a pass the cells ahead of the current one are untouched, so
-    each gain is an exact integer from two running sums: the sum of the
-    signs behind the cell and the sum of tail_j sigma_j over the cells
-    ahead of it, where tail_j = 6 n + 3 - 6 j (1-based) is K6[k, j] for
-    every k < j.  A pass is O(n); no K6 sigma vector is kept.  Before its
-    Python-int loop, each pass reads every gain at once from float64
-    prefix sums of the untouched signs, exact while 18 n^2 < 2^53
-    (_descend derives the bound), and returns without a loop when no
-    move applies; otherwise the loop starts at the first move.  The
-    visit order and every move are those of a walk over every cell.
+    All four passes are one function, _flips.  Within a pass the cells
+    ahead of the current one are untouched, so each gain is an exact
+    integer from two sums: the sum of the signs behind the cell and the
+    sum of tail_j sigma_j over the cells ahead of it, where tail_j =
+    6 n + 3 - 6 j (1-based) is K6[k, j] for every k < j.  A pass is
+    O(n); no K6 sigma vector is kept and no running total is carried
+    from pass to pass.  Each pass first reads every gain at once from
+    float64 prefix sums of the signs (exact; _descend gives the bound)
+    and returns without a loop when no move applies; otherwise its
+    Python-int loop starts at the first move.  The visit order and
+    every move are those of a walk over every cell.
 
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot
@@ -447,9 +434,11 @@ def solve_bangbang(
     on this mesh only, not those nested_bangbang_start spends on the
     coarser meshes of the canonical start.
 
-    For h = 0 the ray optimum is t = 0 for every pattern, so the apex
-    is returned immediately.
+    A negative or non-finite h is refused first (check_tilt).  For
+    h = 0 the ray optimum is t = 0 for every pattern, so the apex is
+    returned immediately.
     """
+    h = check_tilt(h)
     opts = opts or SolverOptions()
     signs = np.array(start_signs, dtype=float).reshape(-1)
     if signs.shape[0] != mesh.n or not np.all(np.abs(signs) == 1.0):
@@ -481,9 +470,9 @@ def solve_bruteforce(
     tie_count is the number of tied patterns (sigma and -sigma always
     tie); iterations reports n, one per cell of the pattern.
     converged still requires the stationarity residual within
-    opts.tolerance.
+    opts.tolerance.  A negative or non-finite h is refused first.
     """
-    n = mesh.n
+    h, n = check_tilt(h), mesh.n
     opts = opts or SolverOptions()
     if h == 0:
         # Every ray optimum is t = 0: all 2^n patterns tie at the apex.

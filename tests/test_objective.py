@@ -13,9 +13,9 @@ from conelab import (
     gradient,
     hessian_form,
     l2_inner,
-    quadratic_decrease,
     value,
 )
+from conelab.objective import quadratic_decrease_values
 from oracles import norm_X_sq, rayleigh_ratio
 
 
@@ -98,8 +98,10 @@ def test_quadratic_decrease_is_the_exact_change():
         h = float(rng.uniform(0.0, 1.0))
         p, d = _rand_point(rng, mesh), _rand_point(rng, mesh, scale=0.5)
         shifted = ConePoint(p.t + d.t, GridFunction(mesh, p.u.values + d.u.values))
+        g = gradient(h, p)
         assert_allclose(
-            quadratic_decrease(gradient(h, p), d), value(h, shifted) - value(h, p),
+            quadratic_decrease_values(g.t, g.u.values, d.t, d.u.values, mesh.width),
+            value(h, shifted) - value(h, p),
             rtol=1e-10, atol=1e-13,
         )
 

@@ -38,7 +38,6 @@ from conelab import (
     operators,
     pontryagin_check,
     project,
-    quadratic_decrease,
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
@@ -327,7 +326,7 @@ def _assert_scan_starts_at_the_first_move(s):
             moved = list(s)
             walk(moved, total, polish)
             k = next((i for i in range(n) if moved[i] != s[i]), None)
-            start = solvers._first_move(s, np.array(s, dtype=float), total, polish, pair)
+            start = solvers._first_move(s, np.array(s, dtype=float), polish, pair)
             if k is None:
                 assert start is None, (n, pair, polish)
             else:
@@ -377,8 +376,17 @@ def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
         return out
 
     scanned = reports()
-    # past the bound no pass scans; every pass walks from cell 0
+    # past the bound no pass scans; every pass walks from cell 0 and
+    # sums Q there on Python ints: random starts against the walk that
+    # carries a running total, then the reports
     monkeypatch.setattr(solvers, "_SCAN_MAX_N", 0)
+    rng = np.random.default_rng(16)
+    for n in [*range(1, 65), 257]:
+        for cap in (1, 3, SolverOptions().max_iterations):
+            s = rng.choice([-1, 1], size=n).tolist()
+            expected = list(s)
+            assert solvers._descend(s, cap) == oracles._descend(expected, cap), (n, cap)
+            assert s == expected, (n, cap)
     assert reports() == scanned
 
 
@@ -408,6 +416,28 @@ def test_bangbang_start_validation():
         solve_bangbang(1.0, mesh, np.ones(2))
     with pytest.raises(ValueError):
         solve_bangbang(1.0, mesh, np.array([1.0, 0.0, -1.0]))
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -0.1])
+def test_every_solver_checks_the_tilt_first(h, monkeypatch):
+    # refused on entry, before any start is built or any sweep runs
+    def no_descent(s, max_sweeps):
+        raise AssertionError("a bang-bang level ran before the tilt check")
+
+    monkeypatch.setattr(solvers, "_descend", no_descent)
+    mesh = Mesh(100)
+    calls = [
+        lambda: solve_bangbang(h, mesh, all_plus_signs(mesh.n)),
+        lambda: solve_bruteforce(h, mesh),
+        lambda: solve_pgd(h, mesh, ConePoint.apex(mesh)),
+    ]
+    calls += [
+        lambda method=method: solve_with_canonical_start(h, mesh, method)
+        for method in ("bangbang", "brute", "pgd")
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tilt must be"):
+            call()
 
 
 def test_bangbang_matches_bruteforce_from_all_plus():
@@ -531,7 +561,11 @@ def _reference_pgd(h, mesh, start, opts):
         while True:
             candidate = project(_axpy(x, -step, g))
             move = _axpy(candidate, -1.0, x)
-            if quadratic_decrease(gradient(h, x), move) < 0.0:
+            g_x = gradient(h, x)
+            decrease = objective.quadratic_decrease_values(
+                g_x.t, g_x.u.values, move.t, move.u.values, mesh.width
+            )
+            if decrease < 0.0:
                 accepted = candidate
                 break
             step *= 0.5
