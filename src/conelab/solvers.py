@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -368,6 +370,50 @@ def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
     return sweeps, False
 
 
+def bangbang_ladder(
+    sizes: Iterable[int], max_sweeps: int
+) -> Iterator[tuple[int, np.ndarray, int, bool]]:
+    """The canonical bang-bang levels of the given mesh sizes, each once.
+
+    Yields (n, signs, sweeps, settled) for each distinct n in sizes, in
+    ascending order: the pattern bang-bang settles to on n cells from
+    nested_bangbang_start(n, max_sweeps) as an int8 array, the sweeps
+    it took there and whether it settled within max_sweeps.  A level
+    depends on (n, max_sweeps) alone, never on the tilt, so one ladder
+    serves every h > 0 of a sweep.
+
+    The levels the sizes need are climbed coarse to fine and each is
+    descended once: sizes that share coarser levels share their
+    descents, and a size's own level is the start of a finer size that
+    halves to it (512 ... 4096 descend the 7 levels 64 ... 4096).  A
+    level is kept, as int8, only until the last finer level that starts
+    from it is built, and nothing outlives the iteration.
+    """
+    wanted, levels = set(sizes), set()
+    for n in wanted:
+        while n not in levels:
+            levels.add(n)
+            if n > 64:
+                n = (n + 1) // 2
+    pending = Counter((n + 1) // 2 for n in levels if n > 64)
+    kept = {}
+    for n in sorted(levels):
+        if n <= 64:
+            s = [1] * n
+        else:
+            coarse = (n + 1) // 2
+            s = np.repeat(kept[coarse], 2)[:n].tolist()
+            pending[coarse] -= 1
+            if not pending[coarse]:
+                del kept[coarse]
+        sweeps, settled = _descend(s, max_sweeps)
+        signs = np.array(s, dtype=np.int8)
+        if pending[n]:
+            kept[n] = signs
+        if n in wanted:
+            yield n, signs, sweeps, settled
+
+
 def nested_bangbang_start(n: int, max_sweeps: int) -> list[int]:
     """The canonical bang-bang start on n cells, coarse to fine.
 
@@ -376,18 +422,14 @@ def nested_bangbang_start(n: int, max_sweeps: int) -> list[int]:
     within max_sweeps sweeps, with each sign repeated twice and the
     result cut to n: nested iteration, the first half of full multigrid
     (Brandt 1977).  The start depends on bang-bang alone, never on the
-    closed-form minimizer, and is a pure function of (n, max_sweeps).
-    Each level keeps one list of Python ints; the coarse one is freed
-    on return, before the caller descends the finer mesh.
+    closed-form minimizer or the tilt, and is a pure function of
+    (n, max_sweeps).  It is built by bangbang_ladder, the one climb of
+    the levels that canonical solves and sweeps use.
     """
     if n <= 64:
         return [1] * n
-    coarse = nested_bangbang_start((n + 1) // 2, max_sweeps)
-    _descend(coarse, max_sweeps)
-    s = [0] * n
-    s[0::2] = coarse
-    s[1::2] = coarse[: n // 2]
-    return s
+    ((_, coarse, _, _),) = bangbang_ladder([(n + 1) // 2], max_sweeps)
+    return np.repeat(coarse, 2)[:n].tolist()
 
 
 def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
@@ -448,7 +490,19 @@ def solve_bangbang(
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
     s = signs.astype(np.int64).tolist()
     sweeps, settled = _descend(s, opts.max_iterations)
-    p = _ray_optimum(h, mesh, np.array(s, dtype=float))
+    return bangbang_report(h, mesh, s, sweeps, settled, opts)
+
+
+def bangbang_report(
+    h: float, mesh: Mesh, signs, sweeps: int, settled: bool, opts: SolverOptions
+) -> SolveReport:
+    """The bang-bang report of a descended pattern at a tilt h > 0.
+
+    The point is the ray optimum of the +/-1 pattern signs; iterations
+    and converged come from the descent's sweeps and settled flag.
+    solve_bangbang and the levels of bangbang_ladder both report here.
+    """
+    p = _ray_optimum(h, mesh, np.asarray(signs, dtype=float))
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 
 

@@ -6,7 +6,9 @@ cone projection's height by an exact bracket search, a random feasible
 start, the coercivity chain checked on one direction through
 ssc._chain, and the bang-bang sweep loop as a walk over every cell on
 Python ints (_single_flips, _pair_flips and _descend), the form that
-solvers._descend shortens with its gain scan.
+solvers._descend shortens with its gain scan, and the canonical nested
+bang-bang start built level by level on that walk (nested_start), which
+the shared levels of solvers.bangbang_ladder must reproduce.
 """
 
 from __future__ import annotations
@@ -197,3 +199,15 @@ def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
             if not (single or pair):
                 return sweeps, True
     return sweeps, False
+
+
+def nested_start(n: int, max_sweeps: int) -> list[int]:
+    # The canonical bang-bang start by its recursive definition, every
+    # coarser level built afresh by the walk: all-plus up to 64 cells,
+    # above that the settled signs of ceil(n / 2) cells, each twice, cut
+    # to n.
+    if n <= 64:
+        return [1] * n
+    coarse = nested_start((n + 1) // 2, max_sweeps)
+    _descend(coarse, max_sweeps)
+    return [x for x in coarse for _ in range(2)][:n]

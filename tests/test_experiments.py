@@ -21,12 +21,14 @@ from conelab import (
     cli,
     experiments,
     perturbation_sweep,
+    solvers,
     solve_bangbang,
     solve_with_canonical_start,
     stability_report,
     value,
     write_rows,
 )
+import oracles
 
 
 def test_sweep_config_validation():
@@ -114,6 +116,13 @@ def test_sweep_preserves_configuration_order():
         (0.1, 4),
         (0.1, 2),
     ]
+    # a repeated tilt or size gets its row every time it is listed
+    for method in ("pgd", "bangbang", "brute"):
+        cfg = SweepConfig(h_list=[0.5, 0.0, 0.5], n_list=[4, 2, 4], method=method)
+        rows = perturbation_sweep(cfg)
+        for row, (h, n) in zip(rows, [(h, n) for h in cfg.h_list for n in cfg.n_list]):
+            report = solve_with_canonical_start(h, Mesh(n), method)
+            assert row == experiments._make_row(h, Mesh(n), report, DELTA_CERTIFIED)
 
 
 def test_sweep_with_projected_gradient_reports_the_interior_point():
@@ -149,11 +158,6 @@ def test_nested_start_changes_nothing_but_iterations():
             assert nested == plain, (n, h)
 
 
-def _all_plus_canonical_start(h, mesh, method, opts=None):
-    assert method == "bangbang"
-    return solve_bangbang(h, mesh, all_plus_signs(mesh.n), opts)
-
-
 def test_sweep_and_stability_output_match_the_all_plus_start(
     tmp_path, monkeypatch, capsys
 ):
@@ -177,10 +181,69 @@ def test_sweep_and_stability_output_match_the_all_plus_start(
         return captured
 
     nested = outputs(tmp_path / "nested")
-    monkeypatch.setattr(
-        experiments, "solve_with_canonical_start", _all_plus_canonical_start
-    )
+    # every tilted bang-bang report, single or swept, reads its levels
+    # from bangbang_ladder; the stand-in descends each size from all-plus
+    climbs = []
+
+    def all_plus_ladder(n_list, max_sweeps):
+        climbs.append(sorted(set(n_list)))
+        for n in climbs[-1]:
+            s = [1] * n
+            sweeps, settled = solvers._descend(s, max_sweeps)
+            yield n, np.array(s, dtype=np.int8), sweeps, settled
+
+    monkeypatch.setattr(experiments, "bangbang_ladder", all_plus_ladder)
     assert outputs(tmp_path / "all_plus") == nested
+    assert climbs.count([65, 100, 257, 1000]) == 2  # the two sweeps
+    assert climbs.count([65]) == 2  # the stability runs at h = 0.1 and 1
+
+
+@pytest.mark.parametrize(
+    "n_list",
+    [(512, 1024, 2048, 4096), (65, 129, 257, 513), (4096, 512, 2048, 64, 64, 65),
+     (1, 2, 3, 33, 64)],
+)
+def test_sweep_rows_equal_single_solves(n_list):
+    # levels shared across rows and tilts give every row the bytes of a
+    # one-level solve, and that solve's report is solve_bangbang's from
+    # the nested start built afresh by its definition, iterations included
+    cfg = SweepConfig(h_list=(0.0, -0.0, 1e-200, 0.1, 1.0), n_list=n_list)
+    rows = perturbation_sweep(cfg)
+    pairs = [(h, n) for h in cfg.h_list for n in cfg.n_list]
+    assert [(row.h, row.n) for row in rows] == pairs
+    opts = SolverOptions()
+    starts = {n: oracles.nested_start(n, opts.max_iterations) for n in set(n_list)}
+    singles = {}
+    for row, (h, n) in zip(rows, pairs):
+        mesh = Mesh(n)
+        report = singles[h, n] = solve_with_canonical_start(h, mesh, "bangbang", opts)
+        single = experiments._make_row(h, mesh, report, DELTA_CERTIFIED)
+        assert json.dumps(row.as_dict()) == json.dumps(single.as_dict()), (h, n)
+        reference = solve_bangbang(h, mesh, starts[n], opts)
+        assert report.to_json() == reference.to_json(), (h, n)
+    # rows carry no sweep count, so the swept reports are held to it too
+    swept = experiments._bangbang_reports(cfg.h_list, cfg.n_list, opts)
+    for h, n, report in swept:
+        assert report.to_json() == singles.pop((h, n)).to_json(), (h, n)
+    assert not singles
+
+
+def test_a_sweep_descends_each_level_once(monkeypatch):
+    descend, levels = solvers._descend, []
+
+    def counted(s, max_sweeps):
+        levels.append(len(s))
+        return descend(s, max_sweeps)
+
+    monkeypatch.setattr(solvers, "_descend", counted)
+    ladder = [64, 128, 256, 512, 1024, 2048, 4096]
+    perturbation_sweep(SweepConfig(h_list=(0.1, 0.5, 1), n_list=(512, 1024, 2048, 4096)))
+    assert sorted(levels) == ladder
+    levels.clear()
+    perturbation_sweep(SweepConfig(h_list=(0.0, -0.0), n_list=(512, 4096)))
+    assert levels == []
+    solve_with_canonical_start(0.1, Mesh(4096), "bangbang")
+    assert levels == ladder
 
 
 def test_stability_report():
