@@ -207,7 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    # argparse reads a value that starts with "-", such as "-0,0.1", as a
+    # flag; written as "--h-list=-0,0.1" it is always the option's value
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--h-list", "--n-list"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -102,7 +102,7 @@ def solve_with_canonical_start(
 ) -> SolveReport:
     """Run one solver from its fixed, documented start.
 
-    bangbang starts coarse to fine from nested_bangbang_start: all-plus
+    bangbang starts coarse to fine, as in bangbang_ladder: all-plus
     up to 64 cells, above that the prolonged bang-bang minimizer of the
     next coarser mesh (h = 0 returns the apex before any sweep, so it
     starts from all-plus and builds no coarse level).  A bangbang solve

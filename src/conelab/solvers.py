@@ -255,20 +255,20 @@ def solve_pgd(
 _SCAN_MAX_N = math.isqrt((2**53 - 1) // 18)  # 22,369,621
 
 
-def _first_move(
-    s: list[int], a: np.ndarray | None, polish: bool, pair: bool
-) -> tuple[int, int, int] | None:
+def _first_move(s: np.ndarray, polish: bool, pair: bool) -> tuple[int, int, int] | None:
     # Where a pass's loop starts: the first cell i (pair i, i+1) whose
     # move condition holds, with P, the sum of the signs before i, and Q,
     # the sum of tail_j s_j after i.  No cell has moved before it, so
-    # every gain up to it is read at once off prefix sums of the float
-    # copy a of the signs.  None when no cell qualifies.  Without a (n
-    # past _SCAN_MAX_N) the loop starts at cell 0, where Q is summed on
-    # Python ints: tail_j = 6 n - 9 - 6 (j - 1), and the sum of
-    # (j - 1) s_j over j >= 2 is the sum of the suffix sums of s[2:].
+    # every gain up to it is read at once off prefix sums of a float64
+    # copy a of the signs.  None when no cell qualifies.  Past
+    # _SCAN_MAX_N the loop starts at cell 0, where Q is summed on Python
+    # ints: tail_j = 6 n - 9 - 6 (j - 1), and the sum of (j - 1) s_j over
+    # j >= 2 is the sum of the suffix sums of s[2:].
     n = len(s)
-    if a is None:
-        return 0, 0, (6 * n - 9) * sum(s[1:]) - 6 * sum(accumulate(reversed(s[2:])))
+    if n > _SCAN_MAX_N:
+        v = s.tolist()
+        return 0, 0, (6 * n - 9) * sum(v[1:]) - 6 * sum(accumulate(reversed(v[2:])))
+    a = s.astype(float)
     tails = np.arange(6.0 * n - 3.0, 0.0, -6.0)  # 6 n - 3 - 6 j
     w = tails * a
     C = np.cumsum(w)
@@ -287,51 +287,52 @@ def _first_move(
     return k, int(P[k]), int(Q[k])
 
 
-def _flips(s: list[int], a: np.ndarray | None, polish: bool, pair: bool) -> bool:
-    # One left-to-right pass over s, in place, of single flips or of
-    # flips of the pairs i, i+1; returns whether a cell flipped.  The
-    # cells ahead of i are still untouched, so with P the sum of the
-    # signs before i (this pass's flips included) and Q the sum of
-    # tail_j s_j after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j, flipping
-    # cell i lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The two
-    # single gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1]
+def _flips(s: np.ndarray, polish: bool, pair: bool) -> bool:
+    # One left-to-right pass over the int8 signs s, in place, of single
+    # flips or of flips of the pairs i, i+1; returns whether a cell
+    # flipped.  The cells ahead of i are still untouched, so with P the
+    # sum of the signs before i (this pass's flips included) and Q the
+    # sum of tail_j s_j after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j,
+    # flipping cell i lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The
+    # two single gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1]
     # coupling) sum to the pair gain (s_i tail_i + s_{i+1} tail_{i+1}) P +
     # (s_i + s_{i+1}) R with R the sum of tail_j s_j after i+1.  The loop
-    # starts at _first_move's cell k and then refreshes a from k on.
-    start = _first_move(s, a, polish, pair)
+    # walks the tail v = s[k:] from _first_move's cell k on Python ints,
+    # which cannot overflow, and writes it back.
+    start = _first_move(s, polish, pair)
     if start is None:
         return False
     k, P, Q = start
+    v = s[k:].tolist()
     t = 6 * len(s) - 3 - 6 * k
     moved = False
     if pair:
-        for i in range(k, len(s) - 1):
-            si, sj, u = s[i], s[i + 1], t - 6
+        for i in range(len(v) - 1):
+            si, sj, u = v[i], v[i + 1], t - 6
             R = Q - u * sj
             gain = (si * t + sj * u) * P + (si + sj) * R
             if (si < 0 and gain == 0) if polish else gain > 0:
-                si, sj = s[i], s[i + 1] = -si, -sj
+                si, sj = v[i], v[i + 1] = -si, -sj
                 moved = True
             P += si
             Q, t = R, u
     else:
-        Q += t * s[k]  # the loop takes cell k's own term off first
-        for i in range(k, len(s)):
-            si = s[i]
+        Q += t * v[0]  # the loop takes cell k's own term off first
+        for i in range(len(v)):
+            si = v[i]
             Q -= t * si
             gain = si * (t * P + Q)
             if (si < 0 and gain == 0) if polish else gain > 0:
-                si = s[i] = -si
+                si = v[i] = -si
                 moved = True
             P += si
             t -= 6
-    if a is not None:
-        a[k:] = s[k:]
+    s[k:] = v
     return moved
 
 
-def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
-    """The sweep loop of solve_bangbang on the signs s, in place.
+def _descend(s: np.ndarray, max_sweeps: int) -> tuple[int, bool]:
+    """The sweep loop of solve_bangbang on the int8 signs s, in place.
 
     Strict single and pair passes, then the polish passes once neither
     moves; every pass is _flips.  Returns the sweeps run and whether s
@@ -339,10 +340,9 @@ def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
 
     Most passes move nothing (on a nested level 8 of its 10), so each
     pass first scans for its first move on a float64 copy a of the
-    signs, kept here and refreshed by a moving pass from its first moved
-    cell on.  With w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a
-    (the signs before i) and Q = C[-1] - C (tail_j a_j after i), the
-    single gain is a_i (tail_i P_i + Q_i) and the pair gain
+    signs.  With w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a (the
+    signs before i) and Q = C[-1] - C (tail_j a_j after i), the single
+    gain is a_i (tail_i P_i + Q_i) and the pair gain
     (w_i + w_{i+1}) P_i + (a_i + a_{i+1}) Q_{i+1}.  No running total of
     tail_j s_j is carried between passes.  A pass whose scan finds no
     move returns at once; otherwise its Python-int loop runs from the
@@ -354,17 +354,16 @@ def _descend(s: list[int], max_sweeps: int) -> tuple[int, bool]:
     a pair gain below 12 n * n + 2 * 3 n^2 = 18 n^2 in magnitude, and
     every intermediate is an integer held exactly in float64 while
     18 n^2 < 2^53, that is n <= _SCAN_MAX_N = 22,369,621.  Past that
-    size no copy is kept and every pass walks from cell 0.
+    size no pass scans and every pass walks from cell 0.
     """
-    a = np.array(s, dtype=float) if len(s) <= _SCAN_MAX_N else None
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        single = _flips(s, a, polish=False, pair=False)
-        pair = _flips(s, a, polish=False, pair=True)
+        single = _flips(s, polish=False, pair=False)
+        pair = _flips(s, polish=False, pair=True)
         if not (single or pair):
-            single = _flips(s, a, polish=True, pair=False)
-            pair = _flips(s, a, polish=True, pair=True)
+            single = _flips(s, polish=True, pair=False)
+            pair = _flips(s, polish=True, pair=True)
             if not (single or pair):
                 return sweeps, True
     return sweeps, False
@@ -376,18 +375,21 @@ def bangbang_ladder(
     """The canonical bang-bang levels of the given mesh sizes, each once.
 
     Yields (n, signs, sweeps, settled) for each distinct n in sizes, in
-    ascending order: the pattern bang-bang settles to on n cells from
-    nested_bangbang_start(n, max_sweeps) as an int8 array, the sweeps
-    it took there and whether it settled within max_sweeps.  A level
-    depends on (n, max_sweeps) alone, never on the tilt, so one ladder
-    serves every h > 0 of a sweep.
+    ascending order: the int8 pattern bang-bang settles to on n cells
+    from the canonical start, the sweeps it took there and whether it
+    settled within max_sweeps.  The start is all-plus for n <= 64;
+    above, it is the level of ceil(n / 2) cells with each sign repeated
+    twice and cut to n: nested iteration, the first half of full
+    multigrid (Brandt 1977).  A level depends on (n, max_sweeps) alone,
+    never on the closed-form minimizer or the tilt, so one ladder serves
+    every h > 0 of a sweep.
 
     The levels the sizes need are climbed coarse to fine and each is
     descended once: sizes that share coarser levels share their
     descents, and a size's own level is the start of a finer size that
     halves to it (512 ... 4096 descend the 7 levels 64 ... 4096).  A
-    level is kept, as int8, only until the last finer level that starts
-    from it is built, and nothing outlives the iteration.
+    level is kept only until the last finer level that starts from it
+    is built, and nothing outlives the iteration.
     """
     wanted, levels = set(sizes), set()
     for n in wanted:
@@ -399,37 +401,18 @@ def bangbang_ladder(
     kept = {}
     for n in sorted(levels):
         if n <= 64:
-            s = [1] * n
+            s = np.ones(n, np.int8)
         else:
             coarse = (n + 1) // 2
-            s = np.repeat(kept[coarse], 2)[:n].tolist()
+            s = np.repeat(kept[coarse], 2)[:n]
             pending[coarse] -= 1
             if not pending[coarse]:
                 del kept[coarse]
         sweeps, settled = _descend(s, max_sweeps)
-        signs = np.array(s, dtype=np.int8)
         if pending[n]:
-            kept[n] = signs
+            kept[n] = s
         if n in wanted:
-            yield n, signs, sweeps, settled
-
-
-def nested_bangbang_start(n: int, max_sweeps: int) -> list[int]:
-    """The canonical bang-bang start on n cells, coarse to fine.
-
-    For n <= 64 it is all-plus.  Above, it is the pattern bang-bang
-    descends to on ceil(n / 2) cells from that mesh's own nested start,
-    within max_sweeps sweeps, with each sign repeated twice and the
-    result cut to n: nested iteration, the first half of full multigrid
-    (Brandt 1977).  The start depends on bang-bang alone, never on the
-    closed-form minimizer or the tilt, and is a pure function of
-    (n, max_sweeps).  It is built by bangbang_ladder, the one climb of
-    the levels that canonical solves and sweeps use.
-    """
-    if n <= 64:
-        return [1] * n
-    ((_, coarse, _, _),) = bangbang_ladder([(n + 1) // 2], max_sweeps)
-    return np.repeat(coarse, 2)[:n].tolist()
+            yield n, s, sweeps, settled
 
 
 def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
@@ -473,8 +456,8 @@ def solve_bangbang(
     strictly decrease the lexicographic key, so the iteration cannot
     cycle; it stops at a pattern where no move applies (converged) or
     at the sweep cap (converged=False).  iterations counts the sweeps
-    on this mesh only, not those nested_bangbang_start spends on the
-    coarser meshes of the canonical start.
+    on this mesh only, not those bangbang_ladder spends on the coarser
+    meshes of the canonical start.
 
     A negative or non-finite h is refused first (check_tilt).  For
     h = 0 the ray optimum is t = 0 for every pattern, so the apex is
@@ -488,7 +471,7 @@ def solve_bangbang(
     if h == 0:
         apex = ConePoint.apex(mesh)
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
-    s = signs.astype(np.int64).tolist()
+    s = signs.astype(np.int8)
     sweeps, settled = _descend(s, opts.max_iterations)
     return bangbang_report(h, mesh, s, sweeps, settled, opts)
 
@@ -502,7 +485,7 @@ def bangbang_report(
     and converged come from the descent's sweeps and settled flag.
     solve_bangbang and the levels of bangbang_ladder both report here.
     """
-    p = _ray_optimum(h, mesh, np.asarray(signs, dtype=float))
+    p = _ray_optimum(h, mesh, signs)
     return _build_report(h, "bangbang", p, sweeps, settled, opts)
 
 

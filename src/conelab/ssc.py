@@ -38,6 +38,7 @@ DELTA_CERTIFIED = 0.5
 # cells per block of sampled rows: the pass holds max(1, _BLOCK_CELLS // n)
 # rows at a time, so its memory does not grow with the sample count
 _BLOCK_CELLS = 2**18
+_CHAIN_TOL = 1e-10  # absolute slack of each chain link on a sampled row
 
 
 def check_stationarity(h: float, p: ConePoint) -> float:
@@ -158,13 +159,13 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     yield np.vstack([np.zeros(n), alternating_signs(n)])
 
 
-def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator, tol: float):
+def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     """Stream the sampled directions once, keeping only the running minimum.
 
     Returns (ratio, index, row, nsq, rows, chain_passed): the smallest
     f''(d, d) / ||d||^2, the global index, cell values and ||d||^2 of
     the first row attaining it, the number of rows, and whether every
-    row passed the four chain links within tol.
+    row passed the four chain links within _CHAIN_TOL.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -175,7 +176,7 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator, tol: float
         image = width**3 / 3.0 * walk_energy(U)
         comp = width * np.einsum("ij,ij->i", U, U)
         form, nsq, links = _chain(1.0, image, comp)
-        passed = passed and all(np.all(lhs <= rhs + tol) for _, lhs, rhs in links)
+        passed = passed and all(np.all(lhs <= rhs + _CHAIN_TOL) for _, lhs, rhs in links)
         ratios = form / nsq
         k = int(np.argmin(ratios))
         if ratios[k] < best[0]:
@@ -185,7 +186,7 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator, tol: float
 
 
 def coercivity_estimate(
-    mesh: Mesh, samples: int = 10000, seed: int = 0, tol: float = 1e-10
+    mesh: Mesh, samples: int = 10000, seed: int = 0
 ) -> CoercivityReport:
     """Sampled lower estimate of the coercivity constant at the apex.
 
@@ -194,7 +195,7 @@ def coercivity_estimate(
     the certificate chain held on every one of them.
     """
     rng = np.random.default_rng(seed)
-    beta, _, row, _, _, passed = _sampled_pass(mesh, samples, rng, tol)
+    beta, _, row, _, _, passed = _sampled_pass(mesh, samples, rng)
     return CoercivityReport(
         beta_estimate=beta,
         beta_certified=BETA_CERTIFIED,
@@ -217,7 +218,7 @@ def growth_estimate(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(seed)
-    delta, index, row, nsq, rows, _ = _sampled_pass(mesh, samples, rng, 1e-10)
+    delta, index, row, nsq, rows, _ = _sampled_pass(mesh, samples, rng)
     radius = 1.0 - rng.uniform(0.0, 1.0, size=rows)[index]
     scale = epsilon * radius / np.sqrt(nsq)
     return GrowthReport(

@@ -67,7 +67,7 @@ def test_criterion_1_coercivity_verification():
     )
     betas = {}
     for n in MESH_SIZES:
-        report = coercivity_estimate(Mesh(n), samples=10000, seed=0, tol=1e-10)
+        report = coercivity_estimate(Mesh(n), samples=10000, seed=0)
         betas[n] = report.beta_estimate
         ok = ok and report.chain_checks_passed
         ok = ok and report.beta_estimate >= BETA_CERTIFIED - 1e-9

@@ -199,6 +199,20 @@ def test_a_negative_zero_tilt_is_echoed_as_zero(tmp_path):
     assert "-0" not in out.read_text()
 
 
+def test_a_list_value_may_start_with_a_minus(tmp_path):
+    spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
+    first = run_cli("sweep", "--h-list", "-0,0.1,1", "--n-list", "8", "--out", str(spaced))
+    second = run_cli("sweep", "--h-list=-0,0.1,1", "--n-list", "8", "--out", str(attached))
+    assert first.returncode == 0 and second.returncode == 0
+    assert spaced.read_bytes() == attached.read_bytes()
+    # read as the list's value, a negative size meets the size check
+    out = tmp_path / "rows.csv"
+    result = run_cli("sweep", "--h-list", "0.1", "--n-list", "-4,8", "--out", str(out))
+    assert result.returncode == 2
+    assert "argument --n-list: expected an integer >= 1, got '-4'" in result.stderr
+    assert not out.exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = run_cli("verify-ssc", "--n", "8", "--samples", "300")
     second = run_cli("verify-ssc", "--n", "8", "--samples", "300")

@@ -188,9 +188,9 @@ def test_sweep_and_stability_output_match_the_all_plus_start(
     def all_plus_ladder(n_list, max_sweeps):
         climbs.append(sorted(set(n_list)))
         for n in climbs[-1]:
-            s = [1] * n
+            s = np.ones(n, np.int8)
             sweeps, settled = solvers._descend(s, max_sweeps)
-            yield n, np.array(s, dtype=np.int8), sweeps, settled
+            yield n, s, sweeps, settled
 
     monkeypatch.setattr(experiments, "bangbang_ladder", all_plus_ladder)
     assert outputs(tmp_path / "all_plus") == nested

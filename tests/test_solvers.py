@@ -217,14 +217,19 @@ def test_bangbang_closed_form_on_a_fine_mesh():
 
 
 def test_nested_start_prolongs_the_coarse_minimizer():
-    # all-plus up to 64 cells; above, the bang-bang minimizer of the
-    # ceil(n/2)-cell mesh from its own start, each sign twice, cut to n
-    assert solvers.nested_bangbang_start(64, 5) == [1] * 64
-    for n in (65, 129, 130, 257):
+    # each ladder level is bang-bang from all-plus up to 64 cells; above,
+    # from the ceil(n/2)-cell level, each sign twice, cut to n
+    def level(n, cap):
+        ((_, signs, sweeps, _),) = solvers.bangbang_ladder([n], cap)
+        return signs, sweeps
+
+    for n, cap in ((64, 5), (65, 100), (129, 100), (130, 100), (257, 100)):
         m = (n + 1) // 2
-        coarse = solvers.nested_bangbang_start(m, 100)
-        signs = np.sign(solve_bangbang(1.0, Mesh(m), coarse).minimizer.u.values)
-        assert solvers.nested_bangbang_start(n, 100) == np.repeat(signs, 2)[:n].tolist()
+        start = all_plus_signs(n) if n <= 64 else np.repeat(level(m, cap)[0], 2)[:n]
+        report = solve_bangbang(1.0, Mesh(n), start, SolverOptions(max_iterations=cap))
+        signs, sweeps = level(n, cap)
+        assert np.array_equal(np.sign(report.minimizer.u.values), signs), n
+        assert report.iterations == sweeps, n
 
 
 def test_canonical_bangbang_hits_the_exact_minimizer_at_large_n():
@@ -326,7 +331,7 @@ def _assert_scan_starts_at_the_first_move(s):
             moved = list(s)
             walk(moved, total, polish)
             k = next((i for i in range(n) if moved[i] != s[i]), None)
-            start = solvers._first_move(s, np.array(s, dtype=float), polish, pair)
+            start = solvers._first_move(np.array(s, np.int8), polish, pair)
             if k is None:
                 assert start is None, (n, pair, polish)
             else:
@@ -334,7 +339,7 @@ def _assert_scan_starts_at_the_first_move(s):
                 assert start == (k, sum(s[:k]), tail_sum), (n, pair, polish)
 
 
-def test_descend_matches_the_walk_over_every_cell(monkeypatch):
+def test_descend_matches_the_walk_over_every_cell():
     # the gain scan only skips the cells before a pass's first move, so
     # the signs, the sweeps and the settled flag are those of the
     # scan-free loop on every start and at every sweep cap
@@ -343,21 +348,21 @@ def test_descend_matches_the_walk_over_every_cell(monkeypatch):
     for n in sizes:
         for cap in (1, 2, 3, 100000):
             random_start = rng.choice([-1, 1], size=n).tolist()
-            for start in (random_start, solvers.nested_bangbang_start(n, cap)):
-                s, expected = list(start), list(start)
+            for start in (random_start, oracles.nested_start(n, cap)):
+                s, expected = np.array(start, np.int8), list(start)
                 assert solvers._descend(s, cap) == oracles._descend(expected, cap), (n, cap)
-                assert s == expected, (n, cap)
+                assert s.tolist() == expected, (n, cap)
                 if n <= 200:
                     _assert_scan_starts_at_the_first_move(start)
-                    _assert_scan_starts_at_the_first_move(s)
+                    _assert_scan_starts_at_the_first_move(expected)
     cap = SolverOptions().max_iterations
-    start = solvers.nested_bangbang_start(65536, cap)
-    s, expected = list(start), list(start)
+    ((_, coarse, _, _),) = solvers.bangbang_ladder([32768], cap)
+    start = np.repeat(coarse, 2)
+    s, expected = start.copy(), start.tolist()
     assert solvers._descend(s, cap) == oracles._descend(expected, cap)
-    assert s == expected
+    assert s.tolist() == expected
     # the nested start itself, built on every level by the walk
-    monkeypatch.setattr(solvers, "_descend", oracles._descend)
-    assert solvers.nested_bangbang_start(65536, cap) == start
+    assert start.tolist() == oracles.nested_start(65536, cap)
 
 
 def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
@@ -383,11 +388,30 @@ def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
     rng = np.random.default_rng(16)
     for n in [*range(1, 65), 257]:
         for cap in (1, 3, SolverOptions().max_iterations):
-            s = rng.choice([-1, 1], size=n).tolist()
-            expected = list(s)
+            expected = rng.choice([-1, 1], size=n).tolist()
+            s = np.array(expected, np.int8)
             assert solvers._descend(s, cap) == oracles._descend(expected, cap), (n, cap)
-            assert s == expected, (n, cap)
+            assert s.tolist() == expected, (n, cap)
     assert reports() == scanned
+
+
+def test_bangbang_leaves_its_start_untouched():
+    # _descend flips an int8 level in place; a start of any form is
+    # copied into one and gives the same report
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 65, 257):
+        signs = rng.choice([-1, 1], size=n)
+        starts = [signs.tolist(), signs.astype(float), signs.astype(np.int8)]
+        copies = [list(starts[0]), starts[1].copy(), starts[2].copy()]
+        reports = [solve_bangbang(0.1, Mesh(n), start) for start in starts]
+        assert len({report.to_json() for report in reports}) == 1, n
+        assert starts[0] == copies[0], n
+        for start, copy in zip(starts[1:], copies[1:]):
+            assert start.dtype == copy.dtype and np.array_equal(start, copy), n
+        if n > 2:
+            assert not np.array_equal(np.sign(reports[0].minimizer.u.values), signs), n
+    for n, level, _, _ in solvers.bangbang_ladder([1, 64, 65, 4096], 100):
+        assert level.dtype == np.int8 and level.shape == (n,), n
 
 
 def test_bangbang_two_and_four_cells():
