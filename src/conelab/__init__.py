@@ -29,7 +29,6 @@ from .experiments import (
     SweepConfig,
     SweepRow,
     perturbation_sweep,
-    solve_with_canonical_start,
     stability_report,
     write_rows,
 )
@@ -47,6 +46,7 @@ from .solvers import (
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
+    solve_with_canonical_start,
 )
 from .ssc import (
     BETA_CERTIFIED,

@@ -21,14 +21,12 @@ from .cone import ConePoint
 from .grid import Mesh
 from .experiments import (
     _FORMATS,
-    _METHODS,
     SweepConfig,
     perturbation_sweep,
-    solve_with_canonical_start,
     stability_report,
     write_rows,
 )
-from .solvers import SolverOptions
+from .solvers import METHODS, SolverOptions, solve_with_canonical_start
 from .ssc import (
     DELTA_CERTIFIED,
     check_stationarity,
@@ -170,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="minimize f_h on one mesh")
     solve.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
     solve.add_argument("--h", type=_nonnegative_float, required=True, help="tilt")
-    solve.add_argument("--method", choices=_METHODS, default="bangbang")
+    solve.add_argument("--method", choices=METHODS, default="bangbang")
     solve.add_argument("--tol", type=_positive_float, default=1e-10)
     solve.add_argument("--max-iter", type=_positive_int, default=100000)
     solve.set_defaults(func=_cmd_solve)
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--h-list", type=_float_list, required=True, help="comma-separated tilts"
     )
-    sweep.add_argument("--method", choices=_METHODS, default="bangbang")
+    sweep.add_argument("--method", choices=METHODS, default="bangbang")
     sweep.add_argument("--out", required=True, help="output file path")
     sweep.add_argument("--format", choices=_FORMATS, default="csv")
     sweep.set_defaults(func=_cmd_sweep)
@@ -207,12 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_list_values(argv: list[str]) -> list[str]:
-    # argparse reads a value that starts with "-", such as "-0,0.1", as a
-    # flag; written as "--h-list=-0,0.1" it is always the option's value
+def _attach_values(argv: list[str]) -> list[str]:
+    # argparse reads a value that starts with "-", such as "-1e-5" or
+    # "-0,0.1", as a flag; every option here takes exactly one value, so
+    # the token after "--name" is written "--name=VALUE" and is always
+    # that option's value ("--", "--help" and "--name=VALUE" take none)
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--h-list", "--n-list"):
+        last = out[-1] if out else ""
+        if last.startswith("--") and last not in ("--", "--help") and "=" not in last:
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -220,7 +221,7 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,23 +18,13 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 
-from .cone import ConePoint, norm_X, project
-from .grid import GridFunction, Mesh
+from .cone import norm_X
+from .grid import Mesh
 from .objective import check_tilt
 from .operators import norm_S_sq
-from .solvers import (
-    SolveReport,
-    SolverOptions,
-    all_plus_signs,
-    bangbang_ladder,
-    bangbang_report,
-    solve_bangbang,
-    solve_bruteforce,
-    solve_pgd,
-)
+from .solvers import METHODS, SolveReport, canonical_reports
 from .ssc import DELTA_CERTIFIED
 
-_METHODS = ("pgd", "bangbang", "brute")
 _FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
@@ -93,55 +83,8 @@ class SweepConfig:
         for n in self.n_list:
             if n < 1:
                 raise ValueError("mesh sizes must be >= 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-
-
-def solve_with_canonical_start(
-    h: float, mesh: Mesh, method: str, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Run one solver from its fixed, documented start.
-
-    bangbang starts coarse to fine, as in bangbang_ladder: all-plus
-    up to 64 cells, above that the prolonged bang-bang minimizer of the
-    next coarser mesh (h = 0 returns the apex before any sweep, so it
-    starts from all-plus and builds no coarse level).  A bangbang solve
-    is the one-level plan of a sweep (_bangbang_reports), so solve,
-    stability and sweep report from one code path.  pgd starts from
-    the projection of (h, 0), and brute needs no start.  Each start is
-    a pure function of the mesh and opts.max_iterations, so a report
-    does not depend on what was solved before it.  A negative or
-    non-finite h is refused before any start is built.
-    """
-    h = check_tilt(h)
-    opts = opts or SolverOptions()
-    if method == "bangbang":
-        ((_, _, report),) = _bangbang_reports((h,), (mesh.n,), opts)
-        return report
-    if method == "pgd":
-        start = project(ConePoint(h, GridFunction.zeros(mesh)))
-        return solve_pgd(h, mesh, start, opts)
-    if method == "brute":
-        return solve_bruteforce(h, mesh, opts)
-    raise ValueError(f"method must be one of {_METHODS}")
-
-
-def _bangbang_reports(h_list, n_list, opts: SolverOptions):
-    # Yield (h, n, report) once for each distinct tilt and mesh size,
-    # bang-bang from the canonical start.  For h > 0 the ray optimum is
-    # -h^2 / (2 + 4 m), so the best pattern minimizes m alone: one
-    # bangbang_ladder climb serves every tilt, and only the ray optimum
-    # and the report are built per (h, n).  h = 0 descends nothing.
-    tilts = set(h_list)
-    if 0.0 in tilts:
-        for n in set(n_list):
-            yield 0.0, n, solve_bangbang(0.0, Mesh(n), all_plus_signs(n), opts)
-        tilts.remove(0.0)
-    if tilts:
-        for n, signs, sweeps, settled in bangbang_ladder(n_list, opts.max_iterations):
-            mesh = Mesh(n)
-            for h in tilts:
-                yield h, n, bangbang_report(h, mesh, signs, sweeps, settled, opts)
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
 
 
 def _make_row(h: float, mesh: Mesh, report: SolveReport, delta: float) -> SweepRow:
@@ -166,20 +109,11 @@ def _make_row(h: float, mesh: Mesh, report: SolveReport, delta: float) -> SweepR
 def perturbation_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (h, n), in the order the config lists them (h outer).
 
-    Each distinct (h, n) is solved once.  bangbang rows come from one
-    _bangbang_reports plan: each canonical level is descended once for
-    the whole sweep and serves every tilt and every finer size that
-    starts from it, and is dropped when no later row needs it.  Every
-    row equals the one a single solve_with_canonical_start gives.
+    The rows come from one solvers.canonical_reports plan, which solves
+    each distinct (h, n) once, so every row equals the one a single
+    solve_with_canonical_start gives.
     """
-    if cfg.method == "bangbang":
-        solved = _bangbang_reports(cfg.h_list, cfg.n_list, SolverOptions())
-    else:
-        solved = (
-            (h, n, solve_with_canonical_start(h, Mesh(n), cfg.method))
-            for h in set(cfg.h_list)
-            for n in set(cfg.n_list)
-        )
+    solved = canonical_reports(cfg.h_list, cfg.n_list, cfg.method)
     rows = {
         (h, n): _make_row(h, Mesh(n), report, DELTA_CERTIFIED) for h, n, report in solved
     }
@@ -192,12 +126,12 @@ def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     delta is the quadratic-growth constant to audit against: the
     certified 1/2, or a growth_estimate result.  The minimizer is the
     bang-bang solver's from its canonical coarse-to-fine start
-    (solve_with_canonical_start).
+    (solvers.canonical_reports).
     """
     h = check_tilt(h)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    report = solve_with_canonical_start(h, mesh, "bangbang")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    ((_, _, report),) = canonical_reports((h,), (mesh.n,), "bangbang")
     row = _make_row(h, mesh, report, delta)
     return StabilityRecord(row=row, delta=float(delta), slack=row.prop2_bound - row.norm_x)
 

@@ -20,6 +20,10 @@
   the step-cost lemma of operators.walk_energy the minimizers are the
   walks within heights -1, 0 and 1, so it returns the alternating
   pattern and the tie count 2^ceil(n/2) in closed form, O(n) for any n.
+
+canonical_reports is the one plan that starts every method: a single
+solve (solve_with_canonical_start), a stability audit and a sweep all
+read their reports from it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .cone import (
     InfeasiblePointError,
     contains,
     norm_X_values,
-    project,  # not called here; the benchmark's tracer wraps it in this module
+    project,
     project_values,
     stationarity_residual,
 )
@@ -48,6 +52,7 @@ from .objective import check_tilt, gradient, gradient_values, quadratic_decrease
 from .operators import SstarS_values, apply_SstarS, norm_S_sq
 
 MIN_BACKTRACK_STEP = 1e-16
+METHODS = ("pgd", "bangbang", "brute")
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,11 @@ class SolverOptions:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        cap = self.max_iterations
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise ValueError("max_iterations must be an integer >= 1")
-        if not (0.0 < float(self.tolerance) < math.inf):
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
 
 
@@ -473,20 +480,7 @@ def solve_bangbang(
         return _build_report(0.0, "bangbang", apex, 0, True, opts)
     s = signs.astype(np.int8)
     sweeps, settled = _descend(s, opts.max_iterations)
-    return bangbang_report(h, mesh, s, sweeps, settled, opts)
-
-
-def bangbang_report(
-    h: float, mesh: Mesh, signs, sweeps: int, settled: bool, opts: SolverOptions
-) -> SolveReport:
-    """The bang-bang report of a descended pattern at a tilt h > 0.
-
-    The point is the ray optimum of the +/-1 pattern signs; iterations
-    and converged come from the descent's sweeps and settled flag.
-    solve_bangbang and the levels of bangbang_ladder both report here.
-    """
-    p = _ray_optimum(h, mesh, signs)
-    return _build_report(h, "bangbang", p, sweeps, settled, opts)
+    return _build_report(h, "bangbang", _ray_optimum(h, mesh, s), sweeps, settled, opts)
 
 
 def solve_bruteforce(
@@ -518,3 +512,58 @@ def solve_bruteforce(
         )
     p = _ray_optimum(h, mesh, alternating_signs(n))
     return _build_report(h, "brute", p, n, True, opts, tie_count=2 ** ((n + 1) // 2))
+
+
+def canonical_reports(
+    h_list: Iterable[float],
+    n_list: Iterable[int],
+    method: str,
+    opts: SolverOptions | None = None,
+) -> Iterator[tuple[float, int, SolveReport]]:
+    """Each method's report from its canonical start, once per (h, n).
+
+    Yields (h, n, report) once for each distinct tilt of h_list and size
+    of n_list.  bangbang climbs one bangbang_ladder for every tilt: for
+    h > 0 the ray optimum -h^2 / (2 + 4 m) is best where m is least, so
+    a level serves every tilt and only the ray optimum and the report
+    are built per (h, n); h = 0 gives the apex report and descends
+    nothing.  pgd starts from the projection of (h, 0), and brute needs
+    no start.  Each start depends on n and opts.max_iterations alone, so
+    a report does not depend on what else is listed.  A negative or
+    non-finite tilt, then an unknown method, is refused before any
+    start is built.
+    """
+    opts = opts or SolverOptions()
+    tilts, sizes = {check_tilt(h) for h in h_list}, set(n_list)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if method != "bangbang":
+        for h in tilts:
+            for n in sizes:
+                mesh = Mesh(n)
+                if method == "brute":
+                    yield h, n, solve_bruteforce(h, mesh, opts)
+                else:
+                    start = project(ConePoint(h, GridFunction.zeros(mesh)))
+                    yield h, n, solve_pgd(h, mesh, start, opts)
+        return
+    if 0.0 in tilts:
+        tilts.remove(0.0)
+        for n in sizes:
+            apex = ConePoint.apex(Mesh(n))
+            yield 0.0, n, _build_report(0.0, "bangbang", apex, 0, True, opts)
+    if tilts:
+        for n, signs, sweeps, settled in bangbang_ladder(sizes, opts.max_iterations):
+            mesh = Mesh(n)
+            for h in tilts:
+                p = _ray_optimum(h, mesh, signs)
+                yield h, n, _build_report(h, "bangbang", p, sweeps, settled, opts)
+
+
+def solve_with_canonical_start(
+    h: float, mesh: Mesh, method: str, opts: SolverOptions | None = None
+) -> SolveReport:
+    """One solve from the method's canonical start: the one-size plan of
+    canonical_reports, so solve, stability and sweep report alike."""
+    ((_, _, report),) = canonical_reports((h,), (mesh.n,), method, opts)
+    return report

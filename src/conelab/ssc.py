@@ -22,6 +22,7 @@ BETA_CERTIFIED stays the chain's 1/6, which the acceptance criteria read.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +216,8 @@ def growth_estimate(
     scaled to a random norm in (0, epsilon].  The certified lower bound
     is 1/2: on the cone f_0(x) >= t^2 - ||u||^2 / 2 >= ||x||^2 / 4.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     rng = np.random.default_rng(seed)
     delta, index, row, nsq, rows, _ = _sampled_pass(mesh, samples, rng)
     radius = 1.0 - rng.uniform(0.0, 1.0, size=rows)[index]

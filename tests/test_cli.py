@@ -213,6 +213,30 @@ def test_a_list_value_may_start_with_a_minus(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "8", "--h", "-1e-5"),
+        ("solve", "--n", "8", "--h", "1", "--tol", "-1e-5"),
+        ("stability", "--n", "8", "--h", "0.1", "--delta", "-1e-3"),
+        ("growth", "--n", "8", "--epsilon", "-1e-3"),
+    ],
+)
+def test_a_single_value_may_start_with_a_minus(argv):
+    # read as the option's value, it meets the range check, not "expected one argument"
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "expected a finite number >= 0" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [("solve", "--help"), ("--help", "solve")])
+def test_help_takes_no_value(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: conelab")
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = run_cli("verify-ssc", "--n", "8", "--samples", "300")
     second = run_cli("verify-ssc", "--n", "8", "--samples", "300")

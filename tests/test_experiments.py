@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -192,7 +193,7 @@ def test_sweep_and_stability_output_match_the_all_plus_start(
             sweeps, settled = solvers._descend(s, max_sweeps)
             yield n, s, sweeps, settled
 
-    monkeypatch.setattr(experiments, "bangbang_ladder", all_plus_ladder)
+    monkeypatch.setattr(solvers, "bangbang_ladder", all_plus_ladder)
     assert outputs(tmp_path / "all_plus") == nested
     assert climbs.count([65, 100, 257, 1000]) == 2  # the two sweeps
     assert climbs.count([65]) == 2  # the stability runs at h = 0.1 and 1
@@ -222,7 +223,7 @@ def test_sweep_rows_equal_single_solves(n_list):
         reference = solve_bangbang(h, mesh, starts[n], opts)
         assert report.to_json() == reference.to_json(), (h, n)
     # rows carry no sweep count, so the swept reports are held to it too
-    swept = experiments._bangbang_reports(cfg.h_list, cfg.n_list, opts)
+    swept = solvers.canonical_reports(cfg.h_list, cfg.n_list, "bangbang", opts)
     for h, n, report in swept:
         assert report.to_json() == singles.pop((h, n)).to_json(), (h, n)
     assert not singles
@@ -246,6 +247,23 @@ def test_a_sweep_descends_each_level_once(monkeypatch):
     assert levels == ladder
 
 
+@pytest.mark.parametrize(
+    "method, solver", [("pgd", "solve_pgd"), ("brute", "solve_bruteforce")]
+)
+def test_a_sweep_solves_each_distinct_tilt_and_size_once(method, solver, monkeypatch):
+    original, calls = getattr(solvers, solver), []
+
+    def counted(h, mesh, *args):
+        calls.append((h, mesh.n))
+        return original(h, mesh, *args)
+
+    monkeypatch.setattr(solvers, solver, counted)
+    cfg = SweepConfig(h_list=(0.5, 0.0, -0.0, 0.5, 0.1), n_list=(8, 2, 8, 1, 2), method=method)
+    rows = perturbation_sweep(cfg)
+    assert sorted(calls) == [(h, n) for h in (0.0, 0.1, 0.5) for n in (1, 2, 8)]
+    assert [(row.h, row.n) for row in rows] == [(h, n) for h in cfg.h_list for n in cfg.n_list]
+
+
 def test_stability_report():
     record = stability_report(0.1, Mesh(16), 0.5)
     assert record.row.prop2_bound == 0.4
@@ -262,6 +280,9 @@ def test_stability_report():
         stability_report(0.1, Mesh(16), 0.0)
     with pytest.raises(ValueError):
         stability_report(0.1, Mesh(16), -0.5)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            stability_report(0.1, Mesh(8), delta)
 
 
 def test_stability_report_untilted_is_tight():

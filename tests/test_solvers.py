@@ -41,10 +41,10 @@ from conelab import (
     solve_bangbang,
     solve_bruteforce,
     solve_pgd,
+    solve_with_canonical_start,
     solvers,
     value,
 )
-from conelab.experiments import solve_with_canonical_start
 from conelab.operators import _k6_times, walk_energy
 import oracles
 from oracles import pontryagin_residual, random_feasible_point
@@ -91,6 +91,10 @@ def test_solver_options_validation():
         SolverOptions(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverOptions(tolerance=float("inf"))
+    with pytest.raises(ValueError):
+        SolverOptions(max_iterations=True)
+    # a numeric string is stored as the float the solvers compare against
+    assert SolverOptions(tolerance="1e-3").tolerance == 1e-3
 
 
 def test_bruteforce_two_cells():

@@ -1,6 +1,7 @@
 """Second-order certificates at the apex: coercivity chain and growth."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,9 @@ def test_growth_estimate_known_ratios():
 def test_growth_estimate_validation_and_determinism():
     with pytest.raises(ValueError):
         growth_estimate(Mesh(4), epsilon=0.0, samples=10)
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            growth_estimate(Mesh(8), epsilon=epsilon, samples=10)
     with pytest.raises(ValueError):
         growth_estimate(Mesh(4), epsilon=1.0, samples=0)
     a = growth_estimate(Mesh(8), epsilon=1.0, samples=300, seed=5)
