@@ -8,6 +8,12 @@ Exit codes: 0 when the command's success condition holds, 1 when the
 run completed but the condition failed (or an output file could not be
 written), 2 for invalid usage or a report holding a non-finite value,
 which strict JSON cannot carry (nothing is printed on stdout then).
+
+Each command is declared once, in `_COMMANDS`.  A call builds only the
+parser of the command it names; help and usage errors that concern the
+whole tool (no command, top-level `--help`, an unknown command, leftover
+arguments) are left to the full parser of `build_parser`, so their text
+is the same as if it had parsed every call.
 """
 
 from __future__ import annotations
@@ -146,7 +152,66 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return 0 if row.prop2_ok else 1
 
 
+# each command once: name -> (help, handler, argument specs), in the
+# order of the top-level help
+_N = ("--n", {"type": _positive_int, "required": True, "help": "mesh cells"})
+_H = ("--h", {"type": _nonnegative_float, "required": True, "help": "tilt"})
+_METHOD = ("--method", {"choices": METHODS, "default": "bangbang"})
+_SAMPLES = ("--samples", {"type": _positive_int, "default": 10000})
+_SEED = ("--seed", {"type": int, "default": 0})
+_COMMANDS = {
+    "verify-ssc": (
+        "check apex stationarity and the sampled coercivity bound",
+        _cmd_verify_ssc,
+        (_N, _SAMPLES, _SEED),
+    ),
+    "solve": (
+        "minimize f_h on one mesh",
+        _cmd_solve,
+        (
+            _N,
+            _H,
+            _METHOD,
+            ("--tol", {"type": _positive_float, "default": 1e-10}),
+            ("--max-iter", {"type": _positive_int, "default": 100000}),
+        ),
+    ),
+    "sweep": (
+        "solve over a grid of (h, n) and write rows",
+        _cmd_sweep,
+        (
+            ("--n-list", {"type": _int_list, "required": True,
+                          "help": "comma-separated mesh sizes"}),
+            ("--h-list", {"type": _float_list, "required": True,
+                          "help": "comma-separated tilts"}),
+            _METHOD,
+            ("--out", {"required": True, "help": "output file path"}),
+            ("--format", {"choices": _FORMATS, "default": "csv"}),
+        ),
+    ),
+    "growth": (
+        "sample the quadratic-growth constant at the apex",
+        _cmd_growth,
+        (_N, _SAMPLES, ("--epsilon", {"type": _positive_float, "default": 1.0}), _SEED),
+    ),
+    "stability": (
+        "audit the bound ||minimizer|| <= 2 h / delta",
+        _cmd_stability,
+        (_N, _H, ("--delta", {"type": _positive_float, "default": DELTA_CERTIFIED})),
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, handler, specs = _COMMANDS[name]
+    for flag, kwargs in specs:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subcommand of `conelab`."""
     parser = argparse.ArgumentParser(
         prog="conelab",
         description=(
@@ -155,53 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser(
-        "verify-ssc",
-        help="check apex stationarity and the sampled coercivity bound",
-    )
-    verify.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
-    verify.add_argument("--samples", type=_positive_int, default=10000)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=_cmd_verify_ssc)
-
-    solve = sub.add_parser("solve", help="minimize f_h on one mesh")
-    solve.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
-    solve.add_argument("--h", type=_nonnegative_float, required=True, help="tilt")
-    solve.add_argument("--method", choices=METHODS, default="bangbang")
-    solve.add_argument("--tol", type=_positive_float, default=1e-10)
-    solve.add_argument("--max-iter", type=_positive_int, default=100000)
-    solve.set_defaults(func=_cmd_solve)
-
-    sweep = sub.add_parser("sweep", help="solve over a grid of (h, n) and write rows")
-    sweep.add_argument(
-        "--n-list", type=_int_list, required=True, help="comma-separated mesh sizes"
-    )
-    sweep.add_argument(
-        "--h-list", type=_float_list, required=True, help="comma-separated tilts"
-    )
-    sweep.add_argument("--method", choices=METHODS, default="bangbang")
-    sweep.add_argument("--out", required=True, help="output file path")
-    sweep.add_argument("--format", choices=_FORMATS, default="csv")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    growth = sub.add_parser(
-        "growth", help="sample the quadratic-growth constant at the apex"
-    )
-    growth.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
-    growth.add_argument("--samples", type=_positive_int, default=10000)
-    growth.add_argument("--epsilon", type=_positive_float, default=1.0)
-    growth.add_argument("--seed", type=int, default=0)
-    growth.set_defaults(func=_cmd_growth)
-
-    stability = sub.add_parser(
-        "stability", help="audit the bound ||minimizer|| <= 2 h / delta"
-    )
-    stability.add_argument("--n", type=_positive_int, required=True, help="mesh cells")
-    stability.add_argument("--h", type=_nonnegative_float, required=True, help="tilt")
-    stability.add_argument("--delta", type=_positive_float, default=DELTA_CERTIFIED)
-    stability.set_defaults(func=_cmd_stability)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -222,7 +242,14 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    # a command's own parser reads, and rejects, its arguments as the
+    # full parser's subparser would; only leftovers name the whole tool
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        own = _add_command(argparse.ArgumentParser(prog=f"conelab {name}"), name)
+        args, extra = own.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if name not in _COMMANDS or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

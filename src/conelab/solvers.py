@@ -64,10 +64,12 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         cap = self.max_iterations
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 1:
             raise ValueError("max_iterations must be an integer >= 1")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        if not (0.0 < self.tolerance < math.inf):
+        object.__setattr__(self, "max_iterations", int(cap))
+        tol = self.tolerance
+        object.__setattr__(self, "tolerance", float(tol))
+        if isinstance(tol, (bool, np.bool_)) or not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
 
 

@@ -97,6 +97,19 @@ def test_solver_options_validation():
     assert SolverOptions(tolerance="1e-3").tolerance == 1e-3
 
 
+def test_solver_options_take_numpy_integers_and_refuse_bools():
+    # as Mesh does, a numpy integer is a count, stored as a Python int
+    cap = SolverOptions(max_iterations=np.int64(5)).max_iterations
+    assert cap == 5 and type(cap) is int
+    for bad in (np.int64(0), np.bool_(True), 5.0):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            SolverOptions(max_iterations=bad)
+    # True is not the tolerance 1.0
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverOptions(tolerance=bad)
+
+
 def test_bruteforce_two_cells():
     report = solve_bruteforce(1.0, Mesh(2))
     t = 6.0 / 7.0
