@@ -13,8 +13,17 @@
   integer matrix K6 and the integer walk energy E of operators, so all
   pattern comparisons are exact integer comparisons.  Every pass of a
   sweep, single or pair, strict or polish, is one function that reads
-  each flip gain from prefix and suffix sums of the signs, O(n) per
-  sweep with no K6 sigma vector and no running total between passes.
+  each flip gain from one int64 scan of prefix and suffix sums of the
+  signs, shared by the passes until one moves: O(n) per sweep with no
+  K6 sigma vector and no running total between passes.
+  A pass that moves is a finite-state transducer over the change its
+  own flips make to the sum of the signs behind a cell; on a nested
+  level it visits two states, the start and the state after its first
+  flip, so numpy finds the state entering every cell at once (a
+  segmented prefix scan over two-state maps, Blelloch 1990) and
+  applies all the flips.  A pass that leaves those two states, as on
+  the all-plus base levels and on random starts, falls back to a walk
+  on Python ints from the first cell that leaves them.
 * solve_bruteforce: the exact global minimum over all 2^n sign
   patterns, the oracle the iterative methods are tested against.  By
   the step-cost lemma of operators.walk_energy the minimizers are the
@@ -34,7 +43,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
@@ -259,62 +268,141 @@ def solve_pgd(
     return _build_report(h, "pgd", x, steps, reached, opts, stationarity=residual)
 
 
-# Every integer the gain scan of a pass forms has magnitude at most
-# 18 n^2 (see _descend), so float64 holds it exactly while 18 n^2 < 2^53.
-_SCAN_MAX_N = math.isqrt((2**53 - 1) // 18)  # 22,369,621
+# Every integer a pass forms has magnitude below 18 n^2 (see _descend),
+# so int64 holds it exactly while 18 n^2 < 2^63.
+_MAX_N = math.isqrt((2**63 - 1) // 18)  # 715,827,882
+
+# Levels this small walk every moving pass: on the all-plus base levels
+# the passes visit up to 33 states, and a walk of 64 cells costs less
+# than the numpy calls of a transducer that would escape.
+_WALK_MAX_N = 64
 
 
-def _first_move(s: np.ndarray, polish: bool, pair: bool) -> tuple[int, int, int] | None:
-    # Where a pass's loop starts: the first cell i (pair i, i+1) whose
-    # move condition holds, with P, the sum of the signs before i, and Q,
-    # the sum of tail_j s_j after i.  No cell has moved before it, so
-    # every gain up to it is read at once off prefix sums of a float64
-    # copy a of the signs.  None when no cell qualifies.  Past
-    # _SCAN_MAX_N the loop starts at cell 0, where Q is summed on Python
-    # ints: tail_j = 6 n - 9 - 6 (j - 1), and the sum of (j - 1) s_j over
-    # j >= 2 is the sum of the suffix sums of s[2:].
-    n = len(s)
-    if n > _SCAN_MAX_N:
-        v = s.tolist()
-        return 0, 0, (6 * n - 9) * sum(v[1:]) - 6 * sum(accumulate(reversed(v[2:])))
-    a = s.astype(float)
-    tails = np.arange(6.0 * n - 3.0, 0.0, -6.0)  # 6 n - 3 - 6 j
-    w = tails * a
-    C = np.cumsum(w)
-    P = np.cumsum(a) - a
-    Q = C[-1] - C
-    if pair:
-        gain = (w[:-1] + w[1:]) * P[:-1] + (a[:-1] + a[1:]) * Q[1:]
-        first = a[:-1]
-    else:
-        gain = a * (tails * P + Q)
-        first = a
-    move = (first < 0) & (gain == 0) if polish else gain > 0
+def _check_size(n: int) -> None:
+    # Refuse a level the int64 gain scan cannot hold, before it is built.
+    if n > _MAX_N:
+        raise ValueError(
+            f"bang-bang descends at most {_MAX_N} cells (18 n^2 < 2^63 for its "
+            f"int64 gain scan), got n = {n}"
+        )
+
+
+class _Scan:
+    # The int64 prefix sums of one sign pattern, shared by every pass
+    # that reads it before a pass moves: the signs a, w_j = tail_j a_j,
+    # P the sum of the signs before j and Q the sum of tail_j a_j after
+    # j, and the single and pair gains of a pass that starts there.
+
+    def __init__(self, s: np.ndarray) -> None:
+        self.a = a = s.astype(np.int64)
+        self.w = w = np.arange(6 * len(s) - 3, 0, -6, dtype=np.int64) * a
+        C = np.cumsum(w)
+        self.P = np.cumsum(a) - a
+        self.Q = C[-1] - C
+
+    @cached_property
+    def single(self) -> np.ndarray:
+        return self.w * self.P + self.a * self.Q
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        a, w = self.a, self.w
+        return (w[:-1] + w[1:]) * self.P[:-1] + (a[:-1] + a[1:]) * self.Q[1:]
+
+
+def _first_move(scan: _Scan, polish: bool, pair: bool) -> tuple[int, int, int] | None:
+    # Where a pass first moves: the first cell k (pair k, k+1) whose move
+    # condition holds on the scanned pattern, with P, the sum of the
+    # signs before k, and Q, the sum of tail_j s_j after k.  None when no
+    # cell qualifies and the pass is idle.
+    gain = scan.pair if pair else scan.single
+    move = (scan.a[: len(gain)] < 0) & (gain == 0) if polish else gain > 0
     k = int(move.argmax()) if move.size else 0
     if not (move.size and move[k]):
         return None
-    return k, int(P[k]), int(Q[k])
+    return k, int(scan.P[k]), int(scan.Q[k])
 
 
-def _flips(s: np.ndarray, polish: bool, pair: bool) -> bool:
-    # One left-to-right pass over the int8 signs s, in place, of single
-    # flips or of flips of the pairs i, i+1; returns whether a cell
-    # flipped.  The cells ahead of i are still untouched, so with P the
-    # sum of the signs before i (this pass's flips included) and Q the
-    # sum of tail_j s_j after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j,
-    # flipping cell i lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The
-    # two single gains minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1]
-    # coupling) sum to the pair gain (s_i tail_i + s_{i+1} tail_{i+1}) P +
-    # (s_i + s_{i+1}) R with R the sum of tail_j s_j after i+1.  The loop
-    # walks the tail v = s[k:] from _first_move's cell k on Python ints,
-    # which cannot overflow, and writes it back.
-    start = _first_move(s, polish, pair)
-    if start is None:
-        return False
-    k, P, Q = start
+def _transduce(
+    s: np.ndarray, scan: _Scan, k: int, polish: bool, pair: bool
+) -> tuple[int, int, int] | None:
+    # The pass after its first move at k as a two-state transducer.  Its
+    # flips change only P, the sum of the signs behind a cell, by dP, so
+    # a cell's gain is the scan's gain read at P + dP (and, in a pair
+    # pass, with the cell's own sign negated when pair i - 1 just flipped
+    # it).  State A is the pass's start (dP = 0, not just flipped) and B
+    # the state after its first flip (dP = -2 s_k, just flipped in a
+    # pair pass).  Each later cell maps A and B to A, B or "escape", so
+    # its map on {A, B} is affine over GF(2), b' = d ^ (c & b): constant
+    # where c is 0, the identity or a swap where c is 1.  The state
+    # entering every cell is then the xor of d from the last constant
+    # map on, one maximum.accumulate and one xor accumulate; an escaping
+    # entry is replaced by a constant, which no state before the first
+    # escape reads.  Applies every flip before the first cell whose
+    # actual transition escapes and returns that cell with its exact P
+    # and Q for _walk, or None when the pass ends in {A, B}.
+    a, w, P, Q = scan.a, scan.w, scan.P, scan.Q
+    ak, j = int(a[k]), k + 1
+    dP = -2 * ak
+    if pair:
+        x = a[j:-1]
+        gain_a = scan.pair[j:]
+        gain_b = (w[j + 1 :] - w[j:-1]) * (P[j:-1] + dP) + (a[j + 1 :] - x) * Q[j + 1 :]
+        first_b = -x
+    else:
+        x = a[j:]
+        gain_a = scan.single[j:]
+        gain_b = gain_a + dP * w[j:]
+        first_b = x
+    if polish:
+        move_a, move_b = (x < 0) & (gain_a == 0), (first_b < 0) & (gain_b == 0)
+    else:
+        move_a, move_b = gain_a > 0, gain_b > 0
+    # A move from A leads to B, or escapes when it changes dP the other
+    # way.  B returns to A only when the cell's sign undoes dP: in a
+    # single pass by moving, in a pair pass by not moving (a move keeps
+    # B); to_b is where B goes when it does not escape.
+    same = x == ak
+    esc_a = move_a & ~same
+    to_b = move_b if pair else ~move_b
+    esc_b = same & (~move_b if pair else move_b)
+    m = len(x)
+    d = np.empty(m + 1, bool)
+    d[0] = True  # the state entering cell k + 1 is B
+    d[1:] = np.where(esc_a, to_b, move_a)
+    c = np.empty(m + 1, bool)
+    c[0] = False
+    c[1:] = (move_a ^ to_b) & ~(esc_a | esc_b)
+    last = np.arange(m + 1)
+    last[c] = 0
+    last = np.maximum.accumulate(last[:m])
+    xor = np.zeros(m + 2, bool)
+    np.logical_xor.accumulate(d, out=xor[1:])
+    in_b = xor[1:-1] ^ xor[last]  # whether the state entering each cell is B
+    escaped = np.where(in_b, esc_b, esc_a)
+    e = int(escaped.argmax()) if escaped.any() else m
+    moved = np.empty(e + 1, bool)
+    moved[0] = True
+    moved[1:] = np.where(in_b[:e], move_b[:e], move_a[:e])
+    if pair:
+        edges = np.zeros(e + 3, bool)
+        edges[1:-1] = moved
+        moved = edges[1:] ^ edges[:-1]  # cell i flips with pair i - 1 or i, not both
+    cells = s[k : k + len(moved)]
+    np.negative(cells, out=cells, where=moved)
+    if e == m:
+        return None
+    i = j + e
+    return i, int(P[i]) + (dP if in_b[e] else 0), int(Q[i])
+
+
+def _walk(s: np.ndarray, k: int, P: int, Q: int, polish: bool, pair: bool) -> None:
+    # The rest of a pass from cell k (pair k, k+1) on, on Python ints,
+    # which cannot overflow: P is the sum of the signs before k, this
+    # pass's flips included, and Q the sum of tail_j s_j after k.  The
+    # walk carries both past each cell and writes the tail back.
     v = s[k:].tolist()
     t = 6 * len(s) - 3 - 6 * k
-    moved = False
     if pair:
         for i in range(len(v) - 1):
             si, sj, u = v[i], v[i + 1], t - 6
@@ -322,7 +410,6 @@ def _flips(s: np.ndarray, polish: bool, pair: bool) -> bool:
             gain = (si * t + sj * u) * P + (si + sj) * R
             if (si < 0 and gain == 0) if polish else gain > 0:
                 si, sj = v[i], v[i + 1] = -si, -sj
-                moved = True
             P += si
             Q, t = R, u
     else:
@@ -333,11 +420,43 @@ def _flips(s: np.ndarray, polish: bool, pair: bool) -> bool:
             gain = si * (t * P + Q)
             if (si < 0 and gain == 0) if polish else gain > 0:
                 si = v[i] = -si
-                moved = True
             P += si
             t -= 6
     s[k:] = v
-    return moved
+
+
+def _flips(s: np.ndarray, scan: _Scan, polish: bool, pair: bool) -> bool:
+    """One left-to-right pass over the int8 signs s, in place.
+
+    Single flips, or flips of the pairs i, i+1; strict (positive gain)
+    or polish (zero gain on a -1 cell).  scan holds the prefix sums of s
+    and is stale once the pass returns True, that a cell flipped.  The
+    cells ahead of i are still untouched, so with P the sum of the signs
+    before i (this pass's flips included) and Q the sum of tail_j s_j
+    after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j, flipping cell i
+    lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The two single gains
+    minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum to the
+    pair gain (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R
+    with R the sum of tail_j s_j after i+1.
+
+    The scan names the first move (_first_move); an idle pass returns
+    there.  From that move on, the pass's own flips change only P, by
+    dP, so the pass is a transducer on dP and, for pairs, on whether the
+    cell was just flipped.  On a nested level it visits two states: the
+    start A and the state B after the first flip.  _transduce finds the
+    state entering every cell at once and applies the flips up to the
+    first cell that would leave {A, B}; from there, or from the first
+    move on levels of up to _WALK_MAX_N cells, _walk finishes the pass
+    on Python ints.  The moves are those of a walk over every cell.
+    """
+    start = _first_move(scan, polish, pair)
+    if start is None:
+        return False
+    if len(s) > _WALK_MAX_N:
+        start = _transduce(s, scan, start[0], polish, pair)
+    if start is not None:
+        _walk(s, *start, polish, pair)
+    return True
 
 
 def _descend(s: np.ndarray, max_sweeps: int) -> tuple[int, bool]:
@@ -347,34 +466,42 @@ def _descend(s: np.ndarray, max_sweeps: int) -> tuple[int, bool]:
     moves; every pass is _flips.  Returns the sweeps run and whether s
     settled within max_sweeps.
 
-    Most passes move nothing (on a nested level 8 of its 10), so each
-    pass first scans for its first move on a float64 copy a of the
-    signs.  With w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a (the
-    signs before i) and Q = C[-1] - C (tail_j a_j after i), the single
-    gain is a_i (tail_i P_i + Q_i) and the pair gain
-    (w_i + w_{i+1}) P_i + (a_i + a_{i+1}) Q_{i+1}.  No running total of
-    tail_j s_j is carried between passes.  A pass whose scan finds no
-    move returns at once; otherwise its Python-int loop runs from the
-    first move with the scan's P and Q there, so the visit order, every
-    move and the sweep count are those of a walk over every cell.
+    Most passes move nothing (on a nested level 8 of its 10), and every
+    pass reads the same int64 scan of the pattern: with a the signs,
+    w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a (the signs before
+    i) and Q = C[-1] - C (tail_j a_j after i), the single gain is
+    w_i P_i + a_i Q_i and the pair gain (w_i + w_{i+1}) P_i +
+    (a_i + a_{i+1}) Q_{i+1}.  The scan is built once per pattern and
+    shared by the passes until one moves, so a nested level builds 3
+    scans for its 10 passes.  An idle pass returns after reading its gains; a moving
+    pass runs as a two-state transducer over the same arrays, falling
+    back to the Python-int walk from the first cell that leaves its two
+    states, so the visit order, every move and the sweep count are
+    those of a walk over every cell.
 
-    The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n and |C|, |Q| <=
-    sum of the tails = 3 n^2, so a single gain is below 6 n^2 + 3 n^2 and
-    a pair gain below 12 n * n + 2 * 3 n^2 = 18 n^2 in magnitude, and
-    every intermediate is an integer held exactly in float64 while
-    18 n^2 < 2^53, that is n <= _SCAN_MAX_N = 22,369,621.  Past that
-    size no pass scans and every pass walks from cell 0.
+    The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n (|P + dP| <= n
+    at every pair and n + 1 at every cell in the transducer's states)
+    and |C|, |Q| <= sum of the tails = 3 n^2, so a single gain is below
+    6 n (n + 1) + 3 n^2 and a pair gain below 12 n * n + 2 * 3 n^2 =
+    18 n^2 in magnitude, held exactly in int64 while 18 n^2 < 2^63,
+    that is n <= _MAX_N = 715,827,882.  numpy integer arrays wrap
+    without a warning, so solve_bangbang and bangbang_ladder refuse a
+    larger n before they build a level.
     """
-    sweeps = 0
+    sweeps, scan = 0, None
     while sweeps < max_sweeps:
         sweeps += 1
-        single = _flips(s, polish=False, pair=False)
-        pair = _flips(s, polish=False, pair=True)
-        if not (single or pair):
-            single = _flips(s, polish=True, pair=False)
-            pair = _flips(s, polish=True, pair=True)
-            if not (single or pair):
-                return sweeps, True
+        for polish in (False, True):
+            moved = False
+            for pair in (False, True):
+                if scan is None:
+                    scan = _Scan(s)
+                if _flips(s, scan, polish, pair):
+                    scan, moved = None, True
+            if moved:
+                break
+        else:
+            return sweeps, True
     return sweeps, False
 
 
@@ -401,6 +528,7 @@ def bangbang_ladder(
     is built, and nothing outlives the iteration.
     """
     wanted, levels = set(sizes), set()
+    _check_size(max(wanted, default=0))
     for n in wanted:
         while n not in levels:
             levels.add(n)
@@ -456,10 +584,20 @@ def solve_bangbang(
     6 n + 3 - 6 j (1-based) is K6[k, j] for every k < j.  A pass is
     O(n); no K6 sigma vector is kept and no running total is carried
     from pass to pass.  Each pass first reads every gain at once from
-    float64 prefix sums of the signs (exact; _descend gives the bound)
-    and returns without a loop when no move applies; otherwise its
-    Python-int loop starts at the first move.  The visit order and
-    every move are those of a walk over every cell.
+    int64 prefix sums of the signs (exact; _descend gives the bound),
+    shared by the passes until one moves, and returns without a loop
+    when no move applies.
+
+    A pass that moves changes only the sums behind later cells, so
+    from its first move on it is a transducer over that change (and,
+    for pairs, over whether the cell was just flipped).  On a nested
+    level above 64 cells it stays in two states, and numpy finds the
+    state entering every cell and applies every flip in a fixed number
+    of array calls.  At the first cell that would leave those states,
+    and on every level of up to 64 cells, the pass walks on Python
+    ints instead.  The visit order and every move are those of a walk
+    over every cell.  A mesh of more than 715,827,882 cells, past the
+    int64 scan's bound, is refused before the start is read.
 
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot
@@ -473,6 +611,7 @@ def solve_bangbang(
     returned immediately.
     """
     h = check_tilt(h)
+    _check_size(mesh.n)
     opts = opts or SolverOptions()
     signs = np.array(start_signs, dtype=float).reshape(-1)
     if signs.shape[0] != mesh.n or not np.all(np.abs(signs) == 1.0):

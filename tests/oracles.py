@@ -5,10 +5,15 @@ side of the adjoint identity), mesh nodes, the squared product norm, the
 cone projection's height by an exact bracket search, a random feasible
 start, the coercivity chain checked on one direction through
 ssc._chain, and the bang-bang sweep loop as a walk over every cell on
-Python ints (_single_flips, _pair_flips and _descend), the form that
-solvers._descend shortens with its gain scan, and the canonical nested
-bang-bang start built level by level on that walk (nested_start), which
-the shared levels of solvers.bangbang_ladder must reproduce.
+Python ints (_single_flips, _pair_flips and _descend), and the canonical
+nested bang-bang start built level by level on that walk (nested_start),
+which the shared levels of solvers.bangbang_ladder must reproduce.
+
+solvers._descend shortens that walk.  Its passes share one int64 gain
+scan of the pattern, so an idle pass costs no loop.  A moving pass runs
+from its first move as a two-state transducer over the change of the
+sum of the signs behind a cell.  Where a cell's transition would leave
+those two states it falls back to this walk's loop, from that cell on.
 """
 
 from __future__ import annotations

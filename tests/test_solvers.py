@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -348,7 +349,7 @@ def _assert_scan_starts_at_the_first_move(s):
             moved = list(s)
             walk(moved, total, polish)
             k = next((i for i in range(n) if moved[i] != s[i]), None)
-            start = solvers._first_move(np.array(s, np.int8), polish, pair)
+            start = solvers._first_move(solvers._Scan(np.array(s, np.int8)), polish, pair)
             if k is None:
                 assert start is None, (n, pair, polish)
             else:
@@ -382,12 +383,101 @@ def test_descend_matches_the_walk_over_every_cell():
     assert start.tolist() == oracles.nested_start(65536, cap)
 
 
-def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
+def _recorded_walks(monkeypatch):
+    # (cells, start cell) of every hand-over from a pass to _walk
+    walked, walk = [], solvers._walk
+
+    def recorded(s, k, *rest):
+        walked.append((len(s), k))
+        walk(s, k, *rest)
+
+    monkeypatch.setattr(solvers, "_walk", recorded)
+    return walked
+
+
+def _one_pass(start, polish, pair):
+    # one pass of the given kind over start, held to the walk over every
+    # cell (oracles._single_flips or oracles._pair_flips)
+    n = len(start)
+    s, expected = np.array(start, np.int8), list(start)
+    total = sum((6 * n - 3 - 6 * j) * x for j, x in enumerate(expected))
+    walk = oracles._pair_flips if pair else oracles._single_flips
+    _, moved = walk(expected, total, polish)
+    assert solvers._flips(s, solvers._Scan(s), polish, pair) == moved, (start, polish, pair)
+    assert s.tolist() == expected, (start, polish, pair)
+
+
+def test_transducer_passes_match_the_walk_where_they_escape(monkeypatch):
+    # every pass kind from starts whose transducer ends in its two states
+    # or escapes at the cell (pair) after the first move, mid-pass or at
+    # the last cell (pair): the alternating pattern on 65 cells with the
+    # listed cells flipped.  No start of up to 14 cells makes a strict
+    # single pass escape at the last cell, a polish single pass at the
+    # cell after its first move or a polish pair pass at the last pair,
+    # so those three have no case.
+    walked = _recorded_walks(monkeypatch)
+    cases = [
+        ((0,), False, False, None),
+        ((0, 2), False, False, "next"),
+        ((0, 18), False, False, "mid"),
+        ((0,), False, True, None),
+        ((0, 4), False, True, "next"),
+        ((1,), False, True, "mid"),
+        ((1, 2, 62), False, True, "last"),
+        ((20,), True, False, None),
+        ((24, 62), True, False, "mid"),
+        ((22, 64), True, False, "last"),
+        ((0, 1), True, True, None),
+        ((8, 50), True, True, "next"),
+        ((0, 1, 8, 50), True, True, "mid"),
+    ]
+    n = 65
+    assert n > solvers._WALK_MAX_N
+    for flipped, polish, pair, where in cases:
+        start = alternating_signs(n).astype(int)
+        start[list(flipped)] *= -1
+        k, _, _ = solvers._first_move(solvers._Scan(start.astype(np.int8)), polish, pair)
+        walked.clear()
+        _one_pass(start.tolist(), polish, pair)
+        last = n - 2 if pair else n - 1
+        if where == "mid":
+            assert len(walked) == 1 and k + 1 < walked[0][1] < last, (flipped, walked)
+        else:
+            escape = {None: [], "next": [(n, k + 1)], "last": [(n, last)]}[where]
+            assert walked == escape, (flipped, polish, pair)
+    # every start of up to 9 cells through the transducer
+    monkeypatch.setattr(solvers, "_WALK_MAX_N", 0)
+    for n in range(1, 10):
+        for start in itertools.product((1, -1), repeat=n):
+            for polish in (False, True):
+                for pair in (False, True):
+                    _one_pass(start, polish, pair)
+
+
+def test_nested_levels_never_fall_back_to_the_walk(monkeypatch):
+    # every moving pass on the nested levels of 128 to 2^16 cells stays
+    # in its transducer's two states; only the all-plus base level walks
+    walked = _recorded_walks(monkeypatch)
+    transduced, transduce = [], solvers._transduce
+
+    def recorded(s, *rest):
+        transduced.append(len(s))
+        return transduce(s, *rest)
+
+    monkeypatch.setattr(solvers, "_transduce", recorded)
+    sizes = [2**k for k in range(7, 17)]
+    levels = solvers.bangbang_ladder(sizes, SolverOptions().max_iterations)
+    assert [n for n, _, _, settled in levels if settled] == sizes
+    assert walked and {n for n, _ in walked} == {64}
+    assert set(transduced) == set(sizes)
+
+
+def test_gain_scan_bound_and_the_walk_only_path(monkeypatch):
     # every integer the scan forms is below 18 n^2 in magnitude, and
-    # float64 holds the integers below 2^53 exactly
-    n_max = solvers._SCAN_MAX_N
-    assert n_max == 22_369_621
-    assert 18 * n_max**2 < 2**53 <= 18 * (n_max + 1) ** 2
+    # int64 holds the integers below 2^63 exactly
+    n_max = solvers._MAX_N
+    assert n_max == 715_827_882
+    assert 18 * n_max**2 < 2**63 <= 18 * (n_max + 1) ** 2
     cases = [(n, h) for n in (1, 2, 65, 257, 4096) for h in (0.1, 1.0)]
 
     def reports():
@@ -397,11 +487,11 @@ def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
             out.append(solve_bangbang(h, Mesh(n), all_plus_signs(n)).to_json())
         return out
 
-    scanned = reports()
-    # past the bound no pass scans; every pass walks from cell 0 and
-    # sums Q there on Python ints: random starts against the walk that
-    # carries a running total, then the reports
-    monkeypatch.setattr(solvers, "_SCAN_MAX_N", 0)
+    transduced = reports()
+    # with no level transduced every moving pass walks from its first
+    # move on Python ints: random starts against the walk that carries a
+    # running total, then the reports
+    monkeypatch.setattr(solvers, "_WALK_MAX_N", math.inf)
     rng = np.random.default_rng(16)
     for n in [*range(1, 65), 257]:
         for cap in (1, 3, SolverOptions().max_iterations):
@@ -409,7 +499,43 @@ def test_gain_scan_bound_and_the_scan_free_path(monkeypatch):
             s = np.array(expected, np.int8)
             assert solvers._descend(s, cap) == oracles._descend(expected, cap), (n, cap)
             assert s.tolist() == expected, (n, cap)
-    assert reports() == scanned
+    assert reports() == transduced
+
+
+def test_bangbang_refuses_sizes_past_the_int64_bound(monkeypatch):
+    # refused on entry, before the start is read or a level is built
+    class Unread:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the start was read before the size check")
+
+    def no_descent(s, max_sweeps):
+        raise AssertionError("a level was built before the size check")
+
+    monkeypatch.setattr(solvers, "_descend", no_descent)
+    mesh = Mesh(solvers._MAX_N + 1)
+    calls = [
+        lambda: solve_bangbang(0.1, mesh, Unread()),
+        lambda: solve_with_canonical_start(0.1, mesh, "bangbang"),
+        lambda: list(solvers.bangbang_ladder([1, mesh.n], 1)),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match=r"at most 715827882 cells \(18 n\^2 < 2\^63"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the bound is the largest size descended, here lowered to 100 cells
+    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "_MAX_N", 100)
+    assert solve_bangbang(0.1, Mesh(100), all_plus_signs(100)).converged
+    assert [n for n, _, _, _ in solvers.bangbang_ladder([100], 100)] == [100]
+    with pytest.raises(ValueError, match="at most 100 cells"):
+        solve_bangbang(0.1, Mesh(101), all_plus_signs(101))
+    with pytest.raises(ValueError, match="at most 100 cells"):
+        list(solvers.bangbang_ladder([101], 100))
 
 
 def test_bangbang_leaves_its_start_untouched():
