@@ -12,7 +12,7 @@ import numpy as np
 
 from .cone import ConePoint
 from .grid import GridFunction, l2_norm_sq
-from .operators import apply_SstarS, norm_S_sq, walk_energy
+from .operators import _walk_energy, apply_SstarS, norm_S_sq
 
 
 def check_tilt(h: float) -> float:
@@ -58,6 +58,8 @@ def quadratic_decrease_values(
     reuse one gradient for every backtracking trial.
     """
     inner = gt * st + width * float(np.dot(gu, su))
-    energy = float(width**3 / 3.0 * walk_energy(su))  # norm_S_sq(step_u)
-    return inner + st * st + energy - 0.5 * (width * float(np.dot(su, su)))
+    # norm_S_sq(step_u); its sum of squares is ||step_u||^2 / width too
+    squares = np.dot(su, su)
+    energy = float(width**3 / 3.0 * _walk_energy(np.cumsum(su), squares))
+    return inner + st * st + energy - 0.5 * (width * float(squares))
 

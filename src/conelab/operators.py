@@ -45,7 +45,8 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
     pattern sigma.  With b = a + u the cell term is 3ab + u^2, so the
     sum is 3 sum_k P_{k-1} P_k + sum_k u_k^2 over the prefix sums P:
-    one cumsum and two row dots (_row_dots), with no product arrays.
+    one cumsum and two row dots (_row_dots), with no product arrays;
+    _walk_energy finishes the sum for a caller that holds both already.
 
     Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
     = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
@@ -56,8 +57,16 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     alternating_signs(n).
     """
     values = np.asarray(values)
-    P = np.cumsum(values, axis=-1)
-    return 3 * _row_dots(P[..., :-1], P[..., 1:]) + _row_dots(values, values)
+    return _walk_energy(np.cumsum(values, axis=-1), _row_dots(values, values))
+
+
+def _walk_energy(P: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """walk_energy of the values with prefix sums P and row sums of squares.
+
+    squares is _row_dots(values, values); a caller that also needs
+    ||u||^2 computes it once for both.
+    """
+    return 3 * _row_dots(P[..., :-1], P[..., 1:]) + squares
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -30,15 +30,18 @@ import numpy as np
 from .cone import ConePoint, stationarity_residual
 from .grid import GridFunction, Mesh
 from .objective import gradient
-from .operators import walk_energy
+from .operators import _row_dots, _walk_energy
 from .solvers import alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
 
 # cells per block of sampled rows: the pass holds max(1, _BLOCK_CELLS // n)
-# rows at a time, so its memory does not grow with the sample count
-_BLOCK_CELLS = 2**18
+# rows at a time in each of its two reused buffers (draws and prefix sums),
+# so its memory does not grow with the sample count; at 2^16 cells the two
+# (0.5 MiB each) stay in a 2 MiB per-core L2.  The draws and every row's
+# sums do not depend on it, so neither does any output.
+_BLOCK_CELLS = 2**16
 _CHAIN_TOL = 1e-10  # absolute slack of each chain link on a sampled row
 
 
@@ -136,6 +139,15 @@ class GrowthReport:
         return json.dumps(self.as_dict(), allow_nan=False)
 
 
+def _block_buffer(n: int, samples: int) -> np.ndarray:
+    """An uninitialised buffer for any one block of the pass's rows.
+
+    It holds a block of samples (at most max(1, _BLOCK_CELLS // n) rows)
+    and the block of the two extra rows.
+    """
+    return np.empty((max(2, min(samples, _BLOCK_CELLS // n)), n))
+
+
 def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     """Cell-value rows of sampled cone directions d = (1, u), in blocks.
 
@@ -144,20 +156,25 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     has ||u||^2 = 1, and the alternating one has the least walk energy
     (operators.walk_energy), so it attains the least vertex ratio.
 
-    The uniform blocks are views of one buffer, refilled in place: a
-    caller that keeps a row past the next block must copy it.  2x - 1
-    from rng.random is bit for bit what rng.uniform(-1.0, 1.0) returns,
-    and consumes the generator the same way.
+    Every block, the two extra rows included, is a view of one buffer
+    (_block_buffer), refilled in place: a caller that keeps a row past
+    the next block must copy it.  Above _BLOCK_CELLS cells each block of
+    samples is one row.  2x - 1 from rng.random is bit for bit what
+    rng.uniform(-1.0, 1.0) returns, and consumes the generator the same
+    way, so the rows do not depend on the block size.
     """
     block = max(1, _BLOCK_CELLS // n)
-    buffer = np.empty((min(block, samples), n))
+    buffer = _block_buffer(n, samples)
     for start in range(0, samples, block):
         U = buffer[: min(block, samples - start)]
         rng.random(out=U)
         U *= 2.0
         U -= 1.0
         yield U
-    yield np.vstack([np.zeros(n), alternating_signs(n)])
+    U = buffer[:2]
+    U[0] = 0.0
+    U[1] = alternating_signs(n)
+    yield U
 
 
 def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
@@ -167,15 +184,23 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     f''(d, d) / ||d||^2, the global index, cell values and ||d||^2 of
     the first row attaining it, the number of rows, and whether every
     row passed the four chain links within _CHAIN_TOL.
+
+    Each block's prefix sums go into a second buffer beside the draws,
+    kept for the whole pass, and each row's sum of squares serves both
+    its walk energy (operators._walk_energy) and ||u||^2, so no block
+    allocates an array of its size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     width = mesh.width
     best = (np.inf, 0, None, 0.0)
     rows, passed = 0, True
+    prefix = _block_buffer(mesh.n, samples)
     for U in _row_blocks(mesh.n, samples, rng):
-        image = width**3 / 3.0 * walk_energy(U)
-        comp = width * np.einsum("ij,ij->i", U, U)
+        P = np.cumsum(U, axis=-1, out=prefix[: U.shape[0]])
+        squares = _row_dots(U, U)
+        image = width**3 / 3.0 * _walk_energy(P, squares)
+        comp = width * squares
         form, nsq, links = _chain(1.0, image, comp)
         passed = passed and all(np.all(lhs <= rhs + _CHAIN_TOL) for _, lhs, rhs in links)
         ratios = form / nsq

@@ -29,13 +29,21 @@ def test_verify_ssc_command():
 
 def test_verify_ssc_memory_is_bounded_in_samples():
     # the child reports its own peak RSS: RUSAGE_CHILDREN would keep the
-    # maximum of every earlier test's subprocess
+    # maximum of every earlier test's subprocess, and on Linux the child's
+    # own ru_maxrss starts from this process's high-water mark across
+    # fork/exec, so it reads VmHWM where /proc has one
     child = (
         "import contextlib, io, resource\n"
         "from conelab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['verify-ssc', '--n', '8192', '--samples', '4000'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        fields = dict(line.split(':', 1) for line in status)\n"
+        "    peak_kib = int(fields['VmHWM'].split()[0])\n"
+        "except (OSError, KeyError):\n"
+        "    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, peak_kib)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True

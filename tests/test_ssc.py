@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,10 +197,16 @@ def _one_shot(mesh, samples, rng, tol=1e-10):
 
 
 def test_sampled_pass_matches_one_shot_reference():
-    for n in (1, 2, 5, 12, 13, 64, 2048):
+    cases = [
+        (n, (1, block - 1, block, block + 1, 1000))
+        for n in (1, 2, 5, 12, 13, 64, 2048)
+        for block in [max(1, ssc._BLOCK_CELLS // n)]
+    ]
+    # one row per block: single-row slices of both reused buffers
+    cases.append((ssc._BLOCK_CELLS + 1, (1, 2, 3)))
+    for n, sample_counts in cases:
         mesh = Mesh(n)
-        block = max(1, ssc._BLOCK_CELLS // n)
-        for samples in (1, block - 1, block, block + 1, 1000):
+        for samples in sample_counts:
             for seed in (0, 7):
                 U, ratios, _, chain = _one_shot(mesh, samples, np.random.default_rng(seed))
                 worst = int(np.argmin(ratios))
@@ -212,6 +219,22 @@ def test_sampled_pass_matches_one_shot_reference():
                 ).to_json()
                 got = coercivity_estimate(mesh, samples=samples, seed=seed).to_json()
                 assert got == expected, (n, samples, seed)
+
+
+def test_sampled_pass_holds_two_block_buffers():
+    # the draws and their prefix sums each fill one reused buffer of
+    # _BLOCK_CELLS cells (0.5 MiB); blocks of 2^18 cells, with the draws'
+    # buffer and a prefix-sum array of 2 MiB each, peaked at 4 MiB
+    mesh = Mesh(2048)
+    for estimate in (coercivity_estimate, growth_estimate):
+        estimate(mesh, samples=10000)  # imports and caches are not the pass
+        tracemalloc.start()
+        try:
+            estimate(mesh, samples=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, (estimate.__name__, peak)
 
 
 def test_growth_estimate_is_the_coercivity_ratio():
