@@ -44,6 +44,9 @@ class ConePoint:
         return cls(0.0, GridFunction.zeros(mesh))
 
 
+_TINY = np.finfo(float).tiny  # the least normal float
+
+
 def norm_X_values(t: float, u: np.ndarray, width: float) -> float:
     """The product norm sqrt(t^2 + width * sum(u_i^2)) on bare values.
 
@@ -52,7 +55,7 @@ def norm_X_values(t: float, u: np.ndarray, width: float) -> float:
     norm multiplied back by m.
     """
     s = t * t + width * float(np.dot(u, u))
-    if np.finfo(float).tiny <= s < np.inf:
+    if _TINY <= s < np.inf:
         return float(np.sqrt(s))
     m = max(abs(t), float(np.abs(u).max()))
     if not 0.0 < m < np.inf:
@@ -96,14 +99,29 @@ def project_values(t: float, u: np.ndarray, width: float) -> tuple[float, np.nda
         tau* = max_k (t + width * (a_1 + ... + a_k)) / (1 + width * k).
 
     A negative tau* means phi(0) > 0 and the projection is the apex.
+
+    One array of n + 1 cells holds the magnitudes, sorted in place in
+    ascending order, then 0: read backwards, its prefix sums are
+    0, a_1, a_1 + a_2, ...  They overwrite it, then the roots overwrite
+    them (the line of k magnitudes in cell n - k), and its first n cells
+    finally hold the clipped u.
     """
-    a = np.sort(np.abs(u))[::-1]
-    prefix = np.concatenate(([0.0], np.cumsum(a)))
-    tau = (t + width * prefix) / (1.0 + width * np.arange(a.size + 1))
+    n = u.size
+    tau = np.empty(n + 1)
+    np.abs(u, out=tau[:n])
+    tau[:n].sort()
+    tau[n] = 0.0
+    np.cumsum(tau[::-1], out=tau[::-1])
+    tau *= width
+    tau += t
+    lines = np.arange(n, -1, -1, dtype=float)
+    lines *= width
+    lines += 1.0
+    tau /= lines
     # argmax, not tau.max(): a float maximum-reduce runs nowhere else in
     # verify-ssc, and its code pages alone add about 0.1 MiB to peak RSS
     tau_star = max(float(tau[np.argmax(tau)]), 0.0)
-    return tau_star, np.clip(u, -tau_star, tau_star)
+    return tau_star, np.clip(u, -tau_star, tau_star, out=tau[:n])
 
 
 def project(p: ConePoint) -> ConePoint:

@@ -29,7 +29,9 @@ def value(h: float, p: ConePoint) -> float:
 
 def gradient_values(u: np.ndarray, SstarS_u: np.ndarray) -> np.ndarray:
     """The u-part 2 S*S u - u of the gradient, from the values of u and S*S u."""
-    return 2.0 * SstarS_u - u
+    g = 2.0 * SstarS_u
+    g -= u
+    return g
 
 
 def gradient(h: float, p: ConePoint) -> ConePoint:

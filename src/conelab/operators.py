@@ -91,14 +91,22 @@ def norm_S_sq(u: GridFunction) -> float:
 
 def _k6_times(u: np.ndarray) -> np.ndarray:
     # K6 u = 6 (P_I + ... + P_n) - 3 P_n - u_I over the prefix sums P;
-    # exact for integer u.
+    # exact for integer u.  The suffix sums of P overwrite P, and the
+    # rest is computed in place there.
     P = np.cumsum(u)
-    return 6 * np.cumsum(P[::-1])[::-1] - 3 * P[-1] - u
+    last = P[-1]
+    np.cumsum(P[::-1], out=P[::-1])
+    P *= 6
+    P -= 3 * last
+    P -= u
+    return P
 
 
 def SstarS_values(u: np.ndarray, width: float) -> np.ndarray:
     """S*S on bare cell values, exactly (width^2 / 6) K6 u."""
-    return width**2 / 6.0 * _k6_times(u)
+    K = _k6_times(u)
+    K *= width**2 / 6.0
+    return K
 
 
 def apply_SstarS(u: GridFunction) -> GridFunction:

@@ -211,8 +211,14 @@ def _build_report(
 
 
 def _check_finite(mesh: Mesh, t: float, u: np.ndarray) -> None:
-    # Refuse a non-finite (t, u) with the error its ConePoint would raise.
-    if not (math.isfinite(t) and np.isfinite(u).all()):
+    """Refuse a non-finite (t, u) with the error its ConePoint would raise.
+
+    A sum of squares cannot cancel, so a finite np.dot(u, u) clears every
+    cell at once.  Only an infinite or nan one, which a large but finite
+    u also gives by overflow, builds the ConePoint, whose GridFunction
+    checks the cells one by one.
+    """
+    if not (math.isfinite(t) and math.isfinite(np.dot(u, u))):
         ConePoint(t, GridFunction(mesh, u))
 
 

@@ -21,6 +21,7 @@ BETA_CERTIFIED stays the chain's 1/6, which the acceptance criteria read.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,11 +38,14 @@ BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
 
 # cells per block of sampled rows: the pass holds max(1, _BLOCK_CELLS // n)
-# rows at a time in each of its two reused buffers (draws and prefix sums),
-# so its memory does not grow with the sample count; at 2^16 cells the two
-# (0.5 MiB each) stay in a 2 MiB per-core L2.  The draws and every row's
-# sums do not depend on it, so neither does any output.
+# rows at a time in one reused buffer (0.5 MiB, inside a 2 MiB per-core
+# L2), so its memory does not grow with the sample count.  The draws and
+# every row's sums do not depend on it, so neither does any output.
 _BLOCK_CELLS = 2**16
+# rows per group: the pass keeps each row's ||S u||^2 and ||u||^2 and
+# checks the chain and takes the minimum once per group of this many
+# rows (rounded up to whole blocks) and once at the end
+_GROUP_ROWS = 1024
 _CHAIN_TOL = 1e-10  # absolute slack of each chain link on a sampled row
 
 
@@ -139,15 +143,6 @@ class GrowthReport:
         return json.dumps(self.as_dict(), allow_nan=False)
 
 
-def _block_buffer(n: int, samples: int) -> np.ndarray:
-    """An uninitialised buffer for any one block of the pass's rows.
-
-    It holds a block of samples (at most max(1, _BLOCK_CELLS // n) rows)
-    and the block of the two extra rows.
-    """
-    return np.empty((max(2, min(samples, _BLOCK_CELLS // n)), n))
-
-
 def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     """Cell-value rows of sampled cone directions d = (1, u), in blocks.
 
@@ -156,15 +151,15 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     has ||u||^2 = 1, and the alternating one has the least walk energy
     (operators.walk_energy), so it attains the least vertex ratio.
 
-    Every block, the two extra rows included, is a view of one buffer
-    (_block_buffer), refilled in place: a caller that keeps a row past
-    the next block must copy it.  Above _BLOCK_CELLS cells each block of
-    samples is one row.  2x - 1 from rng.random is bit for bit what
-    rng.uniform(-1.0, 1.0) returns, and consumes the generator the same
-    way, so the rows do not depend on the block size.
+    Every block, the two extra rows included, is a view of one buffer of
+    at most _BLOCK_CELLS cells (or one row, above that), refilled in
+    place: a caller may overwrite a block, and one that keeps a row past
+    the next block must copy it.  2x - 1 from rng.random is bit for bit
+    what rng.uniform(-1.0, 1.0) returns, and consumes the generator the
+    same way, so the rows do not depend on the block size.
     """
     block = max(1, _BLOCK_CELLS // n)
-    buffer = _block_buffer(n, samples)
+    buffer = np.empty((max(2, min(samples, block)), n))
     for start in range(0, samples, block):
         U = buffer[: min(block, samples - start)]
         rng.random(out=U)
@@ -177,38 +172,75 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator):
     yield U
 
 
+def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator):
+    """||S u||^2 and ||u||^2 of the rows of _row_blocks, in groups.
+
+    Each block's sums of squares are taken first; its prefix sums then
+    overwrite its draws (np.cumsum(U, out=U)), and each row's sum of
+    squares serves both its walk energy (operators._walk_energy) and
+    ||u||^2.  Every group but the last holds _GROUP_ROWS rows rounded up
+    to whole blocks; both arrays are reused for every group.
+    """
+    n, width = mesh.n, mesh.width
+    block = max(1, _BLOCK_CELLS // n)
+    image, comp = np.empty((2, min(-(-_GROUP_ROWS // block) * block, samples + 2)))
+    filled = 0
+    for U in _row_blocks(n, samples, rng):
+        k = U.shape[0]
+        if filled + k > image.size:
+            yield image[:filled], comp[:filled]
+            filled = 0
+        squares = _row_dots(U, U)
+        P = np.cumsum(U, axis=-1, out=U)
+        image[filled : filled + k] = width**3 / 3.0 * _walk_energy(P, squares)
+        comp[filled : filled + k] = width * squares
+        filled += k
+    yield image[:filled], comp[:filled]
+
+
+def _sampled_row(n: int, samples: int, rng: np.random.Generator, index: int) -> np.ndarray:
+    """Row index of _row_blocks(n, samples, rng), drawn again.
+
+    Sampled row i is the n numbers after the first i * n of rng's
+    stream, so a copy of rng is advanced past those and draws it; rng is
+    left as it was.  Rows samples and samples + 1 are the extra rows.
+    """
+    if index >= samples:
+        return np.zeros(n) if index == samples else alternating_signs(n)
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(index * n)
+    return np.random.Generator(bit_generator).uniform(-1.0, 1.0, size=n)
+
+
 def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     """Stream the sampled directions once, keeping only the running minimum.
 
-    Returns (ratio, index, row, nsq, rows, chain_passed): the smallest
+    Returns (ratio, index, row, nsq, chain_passed): the smallest
     f''(d, d) / ||d||^2, the global index, cell values and ||d||^2 of
-    the first row attaining it, the number of rows, and whether every
-    row passed the four chain links within _CHAIN_TOL.
+    the first row attaining it, and whether every row passed the four
+    chain links within _CHAIN_TOL.
 
-    Each block's prefix sums go into a second buffer beside the draws,
-    kept for the whole pass, and each row's sum of squares serves both
-    its walk energy (operators._walk_energy) and ||u||^2, so no block
-    allocates an array of its size.
+    The rows' sums come in groups (_row_sums); the chain, the ratios and
+    their minimum are taken once per group.  The one block buffer is
+    overwritten as the pass goes, so the worst row is drawn again by its
+    index from the generator state the pass started at (_sampled_row).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    width = mesh.width
-    best = (np.inf, 0, None, 0.0)
+    start = copy.deepcopy(rng)
+    best = (np.inf, 0, 0.0)
     rows, passed = 0, True
-    prefix = _block_buffer(mesh.n, samples)
-    for U in _row_blocks(mesh.n, samples, rng):
-        P = np.cumsum(U, axis=-1, out=prefix[: U.shape[0]])
-        squares = _row_dots(U, U)
-        image = width**3 / 3.0 * _walk_energy(P, squares)
-        comp = width * squares
+    for image, comp in _row_sums(mesh, samples, rng):
         form, nsq, links = _chain(1.0, image, comp)
         passed = passed and all(np.all(lhs <= rhs + _CHAIN_TOL) for _, lhs, rhs in links)
         ratios = form / nsq
         k = int(np.argmin(ratios))
         if ratios[k] < best[0]:
-            best = (float(ratios[k]), rows + k, U[k].copy(), float(nsq[k]))
-        rows += U.shape[0]
-    return (*best, rows, bool(passed))
+            best = (float(ratios[k]), rows + k, float(nsq[k]))
+        rows += image.size
+    ratio, index, nsq = best
+    row = _sampled_row(mesh.n, samples, start, index)
+    return ratio, index, row, nsq, bool(passed)
 
 
 def coercivity_estimate(
@@ -221,7 +253,7 @@ def coercivity_estimate(
     the certificate chain held on every one of them.
     """
     rng = np.random.default_rng(seed)
-    beta, _, row, _, _, passed = _sampled_pass(mesh, samples, rng)
+    beta, _, row, _, passed = _sampled_pass(mesh, samples, rng)
     return CoercivityReport(
         beta_estimate=beta,
         beta_certified=BETA_CERTIFIED,
@@ -244,8 +276,10 @@ def growth_estimate(
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     rng = np.random.default_rng(seed)
-    delta, index, row, nsq, rows, _ = _sampled_pass(mesh, samples, rng)
-    radius = 1.0 - rng.uniform(0.0, 1.0, size=rows)[index]
+    delta, index, row, nsq, _ = _sampled_pass(mesh, samples, rng)
+    # the radii follow the rows in the stream, one per row in row order
+    rng.bit_generator.advance(index)
+    radius = 1.0 - rng.uniform(0.0, 1.0)
     scale = epsilon * radius / np.sqrt(nsq)
     return GrowthReport(
         delta_estimate=delta,

@@ -857,10 +857,19 @@ def test_pgd_refuses_non_finite_values():
 
 
 def test_pgd_refuses_a_non_finite_gradient(monkeypatch):
-    monkeypatch.setattr(solvers, "gradient_values", lambda u, w: np.full_like(u, np.nan))
     mesh = Mesh(8)
-    with pytest.raises(ValueError, match="^cell values must be finite$"):
-        solve_pgd(0.1, mesh, random_feasible_point(mesh, np.random.default_rng(3)))
+    for cell in (None, np.nan, np.inf, -np.inf):
+        # every cell nan, or one nan, +inf or -inf cell among zeros
+        def gradient(u, w, cell=cell):
+            if cell is None:
+                return np.full_like(u, np.nan)
+            g = np.zeros_like(u)
+            g[3] = cell
+            return g
+
+        monkeypatch.setattr(solvers, "gradient_values", gradient)
+        with pytest.raises(ValueError, match="^cell values must be finite$"):
+            solve_pgd(0.1, mesh, random_feasible_point(mesh, np.random.default_rng(3)))
 
 
 def test_converged_implies_stationarity_below_tolerance():

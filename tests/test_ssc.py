@@ -286,6 +286,60 @@ def test_row_blocks_reproduce_one_uniform_draw():
             )
 
 
+def test_sampled_row_is_the_row_of_one_uniform_draw():
+    # a row of the pass drawn again by its index, in the first, a middle
+    # and the last block, equals that row of one rng.uniform(-1, 1) draw
+    # bit for bit; the extra rows are rebuilt, and the generator is left
+    # as it was
+    for n in (1, 13, 2048, 2**16 + 1):
+        block = max(1, ssc._BLOCK_CELLS // n)
+        samples = 3 * block + 5
+        seed = n + 1
+        expected = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n))
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        for index in (0, block - 1, block + 1, 2 * block, samples - 1):
+            row = ssc._sampled_row(n, samples, rng, index)
+            np.testing.assert_array_equal(row.view(np.int64), expected[index].view(np.int64))
+            assert rng.bit_generator.state == state, (n, index)
+        np.testing.assert_array_equal(ssc._sampled_row(n, samples, rng, samples), np.zeros(n))
+        np.testing.assert_array_equal(
+            ssc._sampled_row(n, samples, rng, samples + 1), alternating_signs(n)
+        )
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(
+            rng.uniform(-1.0, 1.0, size=n).view(np.int64), expected[0].view(np.int64)
+        )
+
+
+def _traced_peak(estimate, mesh, samples):
+    estimate(mesh, samples=samples)  # imports and caches are not the pass
+    tracemalloc.start()
+    try:
+        estimate(mesh, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_pass_holds_one_block_buffer():
+    # the prefix sums overwrite the draws in the one buffer of
+    # _BLOCK_CELLS cells (0.5 MiB); a second buffer for them peaked at
+    # 1.04 MiB
+    for estimate in (coercivity_estimate, growth_estimate):
+        peak = _traced_peak(estimate, Mesh(2048), 10000)
+        assert peak < 0.75 * 2**20, (estimate.__name__, peak)
+
+
+def test_growth_memory_does_not_grow_with_samples():
+    # growth reads the worst row's radius alone; one radius per row
+    # took 15.3 MiB at these arguments, against 7.0 MiB for coercivity
+    mesh = Mesh(1)
+    beta = _traced_peak(coercivity_estimate, mesh, 2_000_000)
+    delta = _traced_peak(growth_estimate, mesh, 2_000_000)
+    assert delta <= beta + 64 * 2**10, (beta, delta)
+
+
 def _vertex_minimum(n):
     # least f''(d, d) / ||d||^2 over d = (1, sigma), every sign pattern, in Fractions
     width = Fraction(1, n)
