@@ -34,13 +34,12 @@ from .experiments import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError, l2_inner, l2_norm_sq
 from .objective import check_tilt, gradient, hessian_form, value
-from .operators import apply_SstarS, norm_S_sq, op_norm_SstarS
+from .operators import alternating_signs, apply_SstarS, norm_S_sq, op_norm_SstarS
 from .solvers import (
     PontryaginCheck,
     SolveReport,
     SolverOptions,
     all_plus_signs,
-    alternating_signs,
     count_sign_changes,
     pontryagin_check,
     solve_bangbang,

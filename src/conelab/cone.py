@@ -43,6 +43,10 @@ class ConePoint:
     def apex(cls, mesh: Mesh) -> "ConePoint":
         return cls(0.0, GridFunction.zeros(mesh))
 
+    def as_dict(self) -> dict:
+        """The point as plain data, as every report prints it."""
+        return {"t": self.t, "u": self.u.values.tolist()}
+
 
 _TINY = np.finfo(float).tiny  # the least normal float
 

@@ -22,7 +22,7 @@ from .cone import norm_X
 from .grid import Mesh
 from .objective import check_tilt
 from .operators import norm_S_sq
-from .solvers import METHODS, SolveReport, canonical_reports
+from .solvers import METHODS, SolveReport, canonical_reports, solve_with_canonical_start
 from .ssc import DELTA_CERTIFIED
 
 _FORMATS = ("csv", "json")
@@ -126,13 +126,12 @@ def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     delta is the quadratic-growth constant to audit against: the
     certified 1/2, or a growth_estimate result.  The minimizer is the
     bang-bang solver's from its canonical coarse-to-fine start
-    (solvers.canonical_reports).
+    (solvers.solve_with_canonical_start).
     """
     h = check_tilt(h)
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    ((_, _, report),) = canonical_reports((h,), (mesh.n,), "bangbang")
-    row = _make_row(h, mesh, report, delta)
+    row = _make_row(h, mesh, solve_with_canonical_start(h, mesh, "bangbang"), delta)
     return StabilityRecord(row=row, delta=float(delta), slack=row.prop2_bound - row.norm_x)
 
 

@@ -60,6 +60,14 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     return _walk_energy(np.cumsum(values, axis=-1), _row_dots(values, values))
 
 
+def alternating_signs(n: int) -> np.ndarray:
+    """The pattern +1, -1, +1, ... on n cells: by the step-cost lemma of
+    walk_energy, the least-energy walk with +1 first."""
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    return signs
+
+
 def _walk_energy(P: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """walk_energy of the values with prefix sums P and row sums of squares.
 

@@ -12,18 +12,10 @@
   m = (width^3 / 6) sigma' K6 sigma = (width^3 / 3) E(sigma) with the
   integer matrix K6 and the integer walk energy E of operators, so all
   pattern comparisons are exact integer comparisons.  Every pass of a
-  sweep, single or pair, strict or polish, is one function that reads
-  each flip gain from one int64 scan of prefix and suffix sums of the
-  signs, shared by the passes until one moves: O(n) per sweep with no
-  K6 sigma vector and no running total between passes.
-  A pass that moves is a finite-state transducer over the change its
-  own flips make to the sum of the signs behind a cell; on a nested
-  level it visits two states, the start and the state after its first
-  flip, so numpy finds the state entering every cell at once (a
-  segmented prefix scan over two-state maps, Blelloch 1990) and
-  applies all the flips.  A pass that leaves those two states, as on
-  the all-plus base levels and on random starts, falls back to a walk
-  on Python ints from the first cell that leaves them.
+  sweep, single or pair, strict or polish, is _flips, O(n) with no
+  K6 sigma vector; _flips and _descend give its shared int64 gain scan,
+  its run as a two-state transducer (a segmented prefix scan over
+  two-state maps, Blelloch 1990) and the bound that keeps it exact.
 * solve_bruteforce: the exact global minimum over all 2^n sign
   patterns, the oracle the iterative methods are tested against.  By
   the step-cost lemma of operators.walk_energy the minimizers are the
@@ -58,7 +50,7 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import check_tilt, gradient, gradient_values, quadratic_decrease_values, value
-from .operators import SstarS_values, apply_SstarS, norm_S_sq
+from .operators import SstarS_values, alternating_signs, apply_SstarS, norm_S_sq
 
 MIN_BACKTRACK_STEP = 1e-16
 METHODS = ("pgd", "bangbang", "brute")
@@ -125,7 +117,7 @@ class SolveReport:
         if tie_count is not None and limit and tie_count >= 10**limit:
             tie_count = None
         return {
-            "minimizer": {"t": self.minimizer.t, "u": self.minimizer.u.values.tolist()},
+            "minimizer": self.minimizer.as_dict(),
             "objective": self.objective,
             "method": self.method,
             "iterations": self.iterations,
@@ -150,12 +142,6 @@ def count_sign_changes(values: np.ndarray) -> int:
 
 def all_plus_signs(n: int) -> np.ndarray:
     return np.ones(n)
-
-
-def alternating_signs(n: int) -> np.ndarray:
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
 
 
 def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
@@ -278,10 +264,13 @@ def solve_pgd(
 # so int64 holds it exactly while 18 n^2 < 2^63.
 _MAX_N = math.isqrt((2**63 - 1) // 18)  # 715,827,882
 
+# bangbang_ladder starts every level of up to _BASE_N cells all-plus.
+_BASE_N = 64
+
 # Levels this small walk every moving pass: on the all-plus base levels
-# the passes visit up to 33 states, and a walk of 64 cells costs less
-# than the numpy calls of a transducer that would escape.
-_WALK_MAX_N = 64
+# the passes visit up to 33 states, and a walk over their cells costs
+# less than the numpy calls of a transducer that would escape.
+_WALK_MAX_N = _BASE_N
 
 
 def _check_size(n: int) -> None:
@@ -294,10 +283,8 @@ def _check_size(n: int) -> None:
 
 
 class _Scan:
-    # The int64 prefix sums of one sign pattern, shared by every pass
-    # that reads it before a pass moves: the signs a, w_j = tail_j a_j,
-    # P the sum of the signs before j and Q the sum of tail_j a_j after
-    # j, and the single and pair gains of a pass that starts there.
+    # The int64 gain scan of one sign pattern (_descend): a, w, P, Q and
+    # the single and pair gains.
 
     def __init__(self, s: np.ndarray) -> None:
         self.a = a = s.astype(np.int64)
@@ -316,54 +303,36 @@ class _Scan:
         return (w[:-1] + w[1:]) * self.P[:-1] + (a[:-1] + a[1:]) * self.Q[1:]
 
 
-def _first_move(scan: _Scan, polish: bool, pair: bool) -> tuple[int, int, int] | None:
-    # Where a pass first moves: the first cell k (pair k, k+1) whose move
-    # condition holds on the scanned pattern, with P, the sum of the
-    # signs before k, and Q, the sum of tail_j s_j after k.  None when no
-    # cell qualifies and the pass is idle.
-    gain = scan.pair if pair else scan.single
-    move = (scan.a[: len(gain)] < 0) & (gain == 0) if polish else gain > 0
-    k = int(move.argmax()) if move.size else 0
-    if not (move.size and move[k]):
-        return None
-    return k, int(scan.P[k]), int(scan.Q[k])
+def _moves(gain: np.ndarray, first: np.ndarray, polish: bool) -> np.ndarray:
+    # The move rule on the cells (pairs) of a pass: a positive gain, or
+    # when polishing a zero gain where the first sign is -1.
+    return (first < 0) & (gain == 0) if polish else gain > 0
 
 
 def _transduce(
-    s: np.ndarray, scan: _Scan, k: int, polish: bool, pair: bool
+    s: np.ndarray, scan: _Scan, k: int, move_a: np.ndarray, polish: bool, pair: bool
 ) -> tuple[int, int, int] | None:
-    # The pass after its first move at k as a two-state transducer.  Its
-    # flips change only P, the sum of the signs behind a cell, by dP, so
-    # a cell's gain is the scan's gain read at P + dP (and, in a pair
-    # pass, with the cell's own sign negated when pair i - 1 just flipped
-    # it).  State A is the pass's start (dP = 0, not just flipped) and B
-    # the state after its first flip (dP = -2 s_k, just flipped in a
-    # pair pass).  Each later cell maps A and B to A, B or "escape", so
-    # its map on {A, B} is affine over GF(2), b' = d ^ (c & b): constant
-    # where c is 0, the identity or a swap where c is 1.  The state
-    # entering every cell is then the xor of d from the last constant
-    # map on, one maximum.accumulate and one xor accumulate; an escaping
-    # entry is replaced by a constant, which no state before the first
-    # escape reads.  Applies every flip before the first cell whose
-    # actual transition escapes and returns that cell with its exact P
-    # and Q for _walk, or None when the pass ends in {A, B}.
+    # The pass after its first move at k, with move_a the moves of state
+    # A on the cells after k, as a transducer on {A, B} (_flips).  Each
+    # cell maps A and B to A, B or "escape", so its map on {A, B} is
+    # affine over GF(2), b' = d ^ (c & b): constant where c is 0, the
+    # identity or a swap where c is 1.  The state entering every cell is
+    # then the xor of d from the last constant map on, one
+    # maximum.accumulate and one xor accumulate; an escaping entry is
+    # replaced by a constant, which no state before the first escape
+    # reads.  Applies every flip before the first cell whose actual
+    # transition escapes and returns that cell with its exact P and Q
+    # for _walk, or None when the pass ends in {A, B}.
     a, w, P, Q = scan.a, scan.w, scan.P, scan.Q
     ak, j = int(a[k]), k + 1
     dP = -2 * ak
     if pair:
         x = a[j:-1]
-        gain_a = scan.pair[j:]
         gain_b = (w[j + 1 :] - w[j:-1]) * (P[j:-1] + dP) + (a[j + 1 :] - x) * Q[j + 1 :]
-        first_b = -x
+        move_b = _moves(gain_b, -x, polish)
     else:
         x = a[j:]
-        gain_a = scan.single[j:]
-        gain_b = gain_a + dP * w[j:]
-        first_b = x
-    if polish:
-        move_a, move_b = (x < 0) & (gain_a == 0), (first_b < 0) & (gain_b == 0)
-    else:
-        move_a, move_b = gain_a > 0, gain_b > 0
+        move_b = _moves(scan.single[j:] + dP * w[j:], x, polish)
     # A move from A leads to B, or escapes when it changes dP the other
     # way.  B returns to A only when the cell's sign undoes dP: in a
     # single pass by moving, in a pair pass by not moving (a move keeps
@@ -435,31 +404,41 @@ def _flips(s: np.ndarray, scan: _Scan, polish: bool, pair: bool) -> bool:
     """One left-to-right pass over the int8 signs s, in place.
 
     Single flips, or flips of the pairs i, i+1; strict (positive gain)
-    or polish (zero gain on a -1 cell).  scan holds the prefix sums of s
-    and is stale once the pass returns True, that a cell flipped.  The
-    cells ahead of i are still untouched, so with P the sum of the signs
-    before i (this pass's flips included) and Q the sum of tail_j s_j
-    after i, tail_j = K6[j, j] + 1 = 6 n - 3 - 6 j, flipping cell i
-    lowers sigma' K6 sigma by 4 s_i (tail_i P + Q).  The two single gains
-    minus 2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum to the
-    pair gain (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R
-    with R the sum of tail_j s_j after i+1.
+    or polish (zero gain on a -1 cell), the rule of _moves.  scan is the
+    gain scan of s (_descend) and is stale once the pass returns True,
+    that a cell flipped.  The cells ahead of i are still untouched, so
+    with P the sum of the signs before i (this pass's flips included)
+    and Q the sum of tail_j s_j after i, tail_j = K6[j, j] + 1 =
+    6 n - 3 - 6 j, flipping cell i lowers sigma' K6 sigma by
+    4 s_i (tail_i P + Q).  The two single gains minus
+    2 s_i s_{i+1} tail_{i+1} (the K6[i, i+1] coupling) sum to the pair
+    gain (s_i tail_i + s_{i+1} tail_{i+1}) P + (s_i + s_{i+1}) R with R
+    the sum of tail_j s_j after i+1.
 
-    The scan names the first move (_first_move); an idle pass returns
-    there.  From that move on, the pass's own flips change only P, by
-    dP, so the pass is a transducer on dP and, for pairs, on whether the
-    cell was just flipped.  On a nested level it visits two states: the
-    start A and the state B after the first flip.  _transduce finds the
-    state entering every cell at once and applies the flips up to the
-    first cell that would leave {A, B}; from there, or from the first
-    move on levels of up to _WALK_MAX_N cells, _walk finishes the pass
-    on Python ints.  The moves are those of a walk over every cell.
+    The scan's gains give the pass's moves on the unflipped pattern and
+    so its first move k; an idle pass returns there.  From k on, the
+    pass's own flips change only P, by dP, so a cell's gain is the
+    scan's gain read at P + dP (in a pair pass with the cell's own sign
+    negated when pair i - 1 just flipped it), and the pass is a
+    transducer on dP and, for pairs, on whether the cell was just
+    flipped.  On a nested level it visits two states: the start A
+    (dP = 0, not just flipped), whose moves are those the scan gave,
+    and the state B after the first flip (dP = -2 s_k, just flipped in a
+    pair pass).  _transduce finds the state entering every cell at once
+    and applies the flips up to the first cell whose transition would
+    leave {A, B}; from there, or from k on levels of up to _WALK_MAX_N
+    cells, _walk finishes the pass on Python ints.  The moves are those
+    of a walk over every cell.
     """
-    start = _first_move(scan, polish, pair)
-    if start is None:
+    gain = scan.pair if pair else scan.single
+    move = _moves(gain, scan.a[: len(gain)], polish)
+    k = int(move.argmax()) if move.size else 0
+    if not (move.size and move[k]):
         return False
-    if len(s) > _WALK_MAX_N:
-        start = _transduce(s, scan, start[0], polish, pair)
+    if len(s) <= _WALK_MAX_N:
+        start = k, int(scan.P[k]), int(scan.Q[k])
+    else:
+        start = _transduce(s, scan, k, move[k + 1 :], polish, pair)
     if start is not None:
         _walk(s, *start, polish, pair)
     return True
@@ -472,18 +451,14 @@ def _descend(s: np.ndarray, max_sweeps: int) -> tuple[int, bool]:
     moves; every pass is _flips.  Returns the sweeps run and whether s
     settled within max_sweeps.
 
-    Most passes move nothing (on a nested level 8 of its 10), and every
-    pass reads the same int64 scan of the pattern: with a the signs,
-    w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a (the signs before
-    i) and Q = C[-1] - C (tail_j a_j after i), the single gain is
-    w_i P_i + a_i Q_i and the pair gain (w_i + w_{i+1}) P_i +
-    (a_i + a_{i+1}) Q_{i+1}.  The scan is built once per pattern and
-    shared by the passes until one moves, so a nested level builds 3
-    scans for its 10 passes.  An idle pass returns after reading its gains; a moving
-    pass runs as a two-state transducer over the same arrays, falling
-    back to the Python-int walk from the first cell that leaves its two
-    states, so the visit order, every move and the sweep count are
-    those of a walk over every cell.
+    Most passes move nothing (on a nested level 8 of its 10), so every
+    pass reads its gains from one int64 scan of the pattern (_Scan):
+    with a the signs, w_j = tail_j a_j, C = cumsum(w), P = cumsum(a) - a
+    (the signs before i) and Q = C[-1] - C (tail_j a_j after i), the
+    single gain is w_i P_i + a_i Q_i and the pair gain
+    (w_i + w_{i+1}) P_i + (a_i + a_{i+1}) Q_{i+1}.  The scan is built
+    once per pattern and shared by the passes until one moves, so a
+    nested level builds 3 scans for its 10 passes.
 
     The scan is exact: tail_j <= 6 n - 3 < 6 n, |P| <= n (|P + dP| <= n
     at every pair and n + 1 at every cell in the transducer's states)
@@ -519,7 +494,7 @@ def bangbang_ladder(
     Yields (n, signs, sweeps, settled) for each distinct n in sizes, in
     ascending order: the int8 pattern bang-bang settles to on n cells
     from the canonical start, the sweeps it took there and whether it
-    settled within max_sweeps.  The start is all-plus for n <= 64;
+    settled within max_sweeps.  The start is all-plus for n <= _BASE_N;
     above, it is the level of ceil(n / 2) cells with each sign repeated
     twice and cut to n: nested iteration, the first half of full
     multigrid (Brandt 1977).  A level depends on (n, max_sweeps) alone,
@@ -538,12 +513,12 @@ def bangbang_ladder(
     for n in wanted:
         while n not in levels:
             levels.add(n)
-            if n > 64:
+            if n > _BASE_N:
                 n = (n + 1) // 2
-    pending = Counter((n + 1) // 2 for n in levels if n > 64)
+    pending = Counter((n + 1) // 2 for n in levels if n > _BASE_N)
     kept = {}
     for n in sorted(levels):
-        if n <= 64:
+        if n <= _BASE_N:
             s = np.ones(n, np.int8)
         else:
             coarse = (n + 1) // 2
@@ -583,27 +558,11 @@ def solve_bangbang(
     lexicographically smallest member (+1 before -1) without changing m,
     so tied runs land on one canonical pattern.
 
-    All four passes are one function, _flips.  Within a pass the cells
-    ahead of the current one are untouched, so each gain is an exact
-    integer from two sums: the sum of the signs behind the cell and the
-    sum of tail_j sigma_j over the cells ahead of it, where tail_j =
-    6 n + 3 - 6 j (1-based) is K6[k, j] for every k < j.  A pass is
-    O(n); no K6 sigma vector is kept and no running total is carried
-    from pass to pass.  Each pass first reads every gain at once from
-    int64 prefix sums of the signs (exact; _descend gives the bound),
-    shared by the passes until one moves, and returns without a loop
-    when no move applies.
-
-    A pass that moves changes only the sums behind later cells, so
-    from its first move on it is a transducer over that change (and,
-    for pairs, over whether the cell was just flipped).  On a nested
-    level above 64 cells it stays in two states, and numpy finds the
-    state entering every cell and applies every flip in a fixed number
-    of array calls.  At the first cell that would leave those states,
-    and on every level of up to 64 cells, the pass walks on Python
-    ints instead.  The visit order and every move are those of a walk
-    over every cell.  A mesh of more than 715,827,882 cells, past the
-    int64 scan's bound, is refused before the start is read.
+    All four passes are one function, _flips, O(n) with exact integer
+    gains; _flips and _descend describe how.  The visit order and every
+    move are those of a walk over every cell.  A mesh of more than
+    715,827,882 cells, past the bound of their int64 gain scan, is
+    refused before the start is read.
 
     Strict moves decrease the integer sigma' K6 sigma and polish moves
     strictly decrease the lexicographic key, so the iteration cannot

@@ -31,8 +31,7 @@ import numpy as np
 from .cone import ConePoint, stationarity_residual
 from .grid import GridFunction, Mesh
 from .objective import gradient
-from .operators import _row_dots, _walk_energy
-from .solvers import alternating_signs
+from .operators import _row_dots, _walk_energy, alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
@@ -105,10 +104,7 @@ class CoercivityReport:
             "beta_exact": self.beta_exact,
             "beta_certified": self.beta_certified,
             "samples": self.samples,
-            "worst_direction": {
-                "t": self.worst_direction.t,
-                "u": self.worst_direction.u.values.tolist(),
-            },
+            "worst_direction": self.worst_direction.as_dict(),
             "chain_checks_passed": self.chain_checks_passed,
         }
 
@@ -133,10 +129,7 @@ class GrowthReport:
             "delta_exact": self.delta_exact,
             "epsilon": self.epsilon,
             "samples": self.samples,
-            "worst_point": {
-                "t": self.worst_point.t,
-                "u": self.worst_point.u.values.tolist(),
-            },
+            "worst_point": self.worst_point.as_dict(),
         }
 
     def to_json(self) -> str:

@@ -9,11 +9,8 @@ Python ints (_single_flips, _pair_flips and _descend), and the canonical
 nested bang-bang start built level by level on that walk (nested_start),
 which the shared levels of solvers.bangbang_ladder must reproduce.
 
-solvers._descend shortens that walk.  Its passes share one int64 gain
-scan of the pattern, so an idle pass costs no loop.  A moving pass runs
-from its first move as a two-state transducer over the change of the
-sum of the signs behind a cell.  Where a cell's transition would leave
-those two states it falls back to this walk's loop, from that cell on.
+solvers._descend shortens that walk (solvers._flips gives how), and
+must make its moves, in its order, with its sweep count.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from conelab import (
     norm_S_sq,
     op_norm_SstarS,
 )
+from conelab import operators, solvers
 from conelab.operators import walk_energy
 from oracles import PiecewiseLinear, apply_S, nodes, pl_l2_inner
 
@@ -187,6 +188,8 @@ def test_walk_energy_step_cost_lemma_on_every_sign_pattern():
         assert np.count_nonzero(m <= 1) == 2 ** ((n + 1) // 2)
         first = sigma[np.flatnonzero(energy == n)[0]]
         np.testing.assert_array_equal(first, alternating_signs(n))
+    # the pattern is defined beside the lemma; the package and solvers re-export it
+    assert alternating_signs is operators.alternating_signs is solvers.alternating_signs
 
 
 def _exact_walk_energy(row):

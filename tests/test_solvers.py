@@ -337,6 +337,19 @@ def test_bangbang_matches_the_k6_vector_reference():
                 assert solve_bangbang(h, mesh, start, opts).to_json() == expected
 
 
+def _walk_handover(s, polish, pair):
+    # (k, P, Q) that one pass over s hands to _walk when every level
+    # walks from its first move, or None when the pass is idle
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_WALK_MAX_N", math.inf)
+        mp.setattr(solvers, "_walk", lambda s, k, P, Q, *rest: handed.append((k, P, Q)))
+        signs = np.array(s, np.int8)
+        moved = solvers._flips(signs, solvers._Scan(signs), polish, pair)
+    assert moved == bool(handed) and len(handed) <= 1, (s, polish, pair)
+    return handed[0] if handed else None
+
+
 def _assert_scan_starts_at_the_first_move(s):
     # each pass's scan names the first cell the walk over every cell
     # moves, with the exact sums P (signs before it) and Q (tail_j s_j
@@ -349,7 +362,7 @@ def _assert_scan_starts_at_the_first_move(s):
             moved = list(s)
             walk(moved, total, polish)
             k = next((i for i in range(n) if moved[i] != s[i]), None)
-            start = solvers._first_move(solvers._Scan(np.array(s, np.int8)), polish, pair)
+            start = _walk_handover(s, polish, pair)
             if k is None:
                 assert start is None, (n, pair, polish)
             else:
@@ -436,7 +449,7 @@ def test_transducer_passes_match_the_walk_where_they_escape(monkeypatch):
     for flipped, polish, pair, where in cases:
         start = alternating_signs(n).astype(int)
         start[list(flipped)] *= -1
-        k, _, _ = solvers._first_move(solvers._Scan(start.astype(np.int8)), polish, pair)
+        k, _, _ = _walk_handover(start.tolist(), polish, pair)
         walked.clear()
         _one_pass(start.tolist(), polish, pair)
         last = n - 2 if pair else n - 1
@@ -857,7 +870,16 @@ def test_pgd_refuses_non_finite_values():
 
 
 def test_pgd_refuses_a_non_finite_gradient(monkeypatch):
+    # refused before any projection; the step-1 trial's check would also
+    # refuse there, so this pins the order of the checks, not which one
     mesh = Mesh(8)
+    projections, real = [], solvers.project_values
+
+    def project_values(*args):
+        projections.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "project_values", project_values)
     for cell in (None, np.nan, np.inf, -np.inf):
         # every cell nan, or one nan, +inf or -inf cell among zeros
         def gradient(u, w, cell=cell):
@@ -870,6 +892,7 @@ def test_pgd_refuses_a_non_finite_gradient(monkeypatch):
         monkeypatch.setattr(solvers, "gradient_values", gradient)
         with pytest.raises(ValueError, match="^cell values must be finite$"):
             solve_pgd(0.1, mesh, random_feasible_point(mesh, np.random.default_rng(3)))
+        assert projections == [], cell
 
 
 def test_converged_implies_stationarity_below_tolerance():

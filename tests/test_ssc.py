@@ -221,22 +221,6 @@ def test_sampled_pass_matches_one_shot_reference():
                 assert got == expected, (n, samples, seed)
 
 
-def test_sampled_pass_holds_two_block_buffers():
-    # the draws and their prefix sums each fill one reused buffer of
-    # _BLOCK_CELLS cells (0.5 MiB); blocks of 2^18 cells, with the draws'
-    # buffer and a prefix-sum array of 2 MiB each, peaked at 4 MiB
-    mesh = Mesh(2048)
-    for estimate in (coercivity_estimate, growth_estimate):
-        estimate(mesh, samples=10000)  # imports and caches are not the pass
-        tracemalloc.start()
-        try:
-            estimate(mesh, samples=10000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20, (estimate.__name__, peak)
-
-
 def test_growth_estimate_is_the_coercivity_ratio():
     # 2 f_0(x) = f''(x, x), so the growth ratio is the Rayleigh ratio of
     # the same directions whatever radius each is scaled to
