@@ -93,6 +93,7 @@ def _cmd_verify_ssc(args: argparse.Namespace) -> int:
     ok = (
         stationarity <= _STATIONARITY_LIMIT
         and report.beta_estimate >= report.beta_certified - _CERTIFIED_SLACK
+        and report.chain_checks_passed
     )
     _emit(
         {"stationarity": stationarity, **report.as_dict()},

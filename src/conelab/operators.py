@@ -68,24 +68,29 @@ def alternating_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _walk_energy(P: np.ndarray, squares: np.ndarray) -> np.ndarray:
+def _walk_energy(P: np.ndarray, squares: np.ndarray, out=None) -> np.ndarray:
     """walk_energy of the values with prefix sums P and row sums of squares.
 
     squares is _row_dots(values, values); a caller that also needs
-    ||u||^2 computes it once for both.
+    ||u||^2 computes it once for both.  A stack of rows may give out, an
+    array of one value per row, to take the result in place.
     """
-    return 3 * _row_dots(P[..., :-1], P[..., 1:]) + squares
+    energy = _row_dots(P[..., :-1], P[..., 1:], out)
+    energy *= 3
+    energy += squares
+    return energy
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _row_dots(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Dot products of matching rows along the last axis.
 
     A single row goes to np.dot, the BLAS dot the solvers already use;
-    a stack of rows to einsum, one dot per row and no product array.
+    a stack of rows to einsum, one dot per row and no product array,
+    written to out if it is given.
     """
     if x.ndim == 1:
         return np.dot(x, y)
-    return np.einsum("...i,...i->...", x, y)
+    return np.einsum("...i,...i->...", x, y, out=out)
 
 
 def norm_S_sq(u: GridFunction) -> float:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +38,22 @@ from .operators import _row_dots, _walk_energy, alternating_signs
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
 
-# cells per block of sampled rows: the pass holds max(1, _BLOCK_CELLS // n)
-# rows at a time in one reused buffer (0.5 MiB, inside a 2 MiB per-core
-# L2), so its memory does not grow with the sample count.  The draws and
-# every row's sums do not depend on it, so neither does any output.
+# cells per block of sampled rows, over all the pass's workers: each of
+# its W row ranges (_workers, one per CPU) holds max(1, _BLOCK_CELLS // W
+# // n) rows at a time (one above _ROW_PIECE cells a row) in one reused
+# buffer, 0.5 MiB in all, inside a 2 MiB per-core L2, so the pass's
+# memory does not grow with the sample count.  The draws and every row's
+# sums depend on neither the block size nor W, so no output does.
 _BLOCK_CELLS = 2**16
-# rows per group: the pass keeps each row's ||S u||^2 and ||u||^2 and
-# checks the chain and takes the minimum once per group of this many
-# rows (rounded up to whole blocks) and once at the end
+# rows per group, over all workers: a range keeps each row's ||S u||^2
+# and ||u||^2 and checks the chain and takes the minimum once per group
+# of _GROUP_ROWS // W rows (rounded up to whole blocks) and once at the end
 _GROUP_ROWS = 1024
+# cells of a row that np.einsum sums in one piece wherever the row is; a
+# longer row in a block of several rows is summed in pieces of this many
+# cells (the iterator's buffer), and alone in one, so such rows get a
+# block each and every row's sums depend on that row only
+_ROW_PIECE = 8192
 _CHAIN_TOL = 1e-10  # absolute slack of each chain link on a sampled row
 
 
@@ -53,19 +62,24 @@ def check_stationarity(h: float, p: ConePoint) -> float:
     return stationarity_residual(p, gradient(h, p))
 
 
-def _chain(t2, image, comp):
+def _chain(t2, image, comp, out=(None, None, None)):
     """The form f''(d, d), the norm ||d||^2 and the four chain links.
 
     t2 = t^2, image = ||S u||^2 and comp = ||u||^2, as scalars or as
     arrays of directions; each link is (name, lhs, rhs) for lhs <= rhs.
+    out may give three arrays shaped like image to hold the form, the
+    norm and the norm / 6, so that arrays of directions allocate nothing.
     """
-    form = 2.0 * t2 + 2.0 * image - comp
-    nsq = t2 + comp
+    form, nsq, sixth = out
+    form = np.multiply(image, 2.0, out=form)
+    form += 2.0 * t2
+    form -= comp
+    nsq = np.add(comp, t2, out=nsq)
     links = (
         ("image_energy_bound", image, t2 / 3.0),
         ("component_energy_bound", comp, t2),
         ("form_lower_bound", t2 / 3.0, form),
-        ("coercivity_bound", nsq / 6.0, form),
+        ("coercivity_bound", np.divide(nsq, 6.0, out=sixth), form),
     )
     return form, nsq, links
 
@@ -136,63 +150,112 @@ class GrowthReport:
         return json.dumps(self.as_dict(), allow_nan=False)
 
 
-def _row_blocks(n: int, samples: int, rng: np.random.Generator):
-    """Cell-value rows of sampled cone directions d = (1, u), in blocks.
+def _row_blocks(n: int, samples: int, rng: np.random.Generator, buffer, extras: bool):
+    """Halved cell-value rows u / 2 of sampled cone directions d = (1, u), in blocks.
 
-    samples uniform rows u_i ~ U(-1, 1) (the numbers of one (samples, n)
-    draw), then u = 0 and the alternating pattern.  Every vertex u = sigma
-    has ||u||^2 = 1, and the alternating one has the least walk energy
-    (operators.walk_energy), so it attains the least vertex ratio.
+    samples uniform rows u_i ~ U(-1, 1) (the next samples * n numbers of
+    rng, as one (samples, n) draw), then, with extras, u = 0 and the
+    alternating pattern.  Every vertex u = sigma has ||u||^2 = 1, and the
+    alternating one has the least walk energy (operators.walk_energy), so
+    it attains the least vertex ratio.
 
-    Every block, the two extra rows included, is a view of one buffer of
-    at most _BLOCK_CELLS cells (or one row, above that), refilled in
-    place: a caller may overwrite a block, and one that keeps a row past
-    the next block must copy it.  2x - 1 from rng.random is bit for bit
-    what rng.uniform(-1.0, 1.0) returns, and consumes the generator the
-    same way, so the rows do not depend on the block size.
+    Every block is a view of buffer (n cells a row, a block a buffer),
+    refilled in place: a caller may overwrite a block, and one that keeps
+    a row past the next block must copy it.  The extra rows come one
+    block each.  x - 1/2 for x from rng.random is exact, and twice it is
+    bit for bit what rng.uniform(-1.0, 1.0) returns, which consumes the
+    generator the same way; so the rows do not depend on the block size.
     """
-    block = max(1, _BLOCK_CELLS // n)
-    buffer = np.empty((max(2, min(samples, block)), n))
+    block = len(buffer)
     for start in range(0, samples, block):
         U = buffer[: min(block, samples - start)]
         rng.random(out=U)
-        U *= 2.0
-        U -= 1.0
+        U -= 0.5
         yield U
-    U = buffer[:2]
-    U[0] = 0.0
-    U[1] = alternating_signs(n)
-    yield U
+    if extras:
+        U = buffer[:1]
+        for row in (0.0, alternating_signs(n)):
+            np.multiply(row, 0.5, out=U[0])
+            yield U
 
 
-def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator):
+def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator, buffer, sums, extras: bool):
     """||S u||^2 and ||u||^2 of the rows of _row_blocks, in groups.
 
     Each block's sums of squares are taken first; its prefix sums then
     overwrite its draws (np.cumsum(U, out=U)), and each row's sum of
     squares serves both its walk energy (operators._walk_energy) and
-    ||u||^2.  Every group but the last holds _GROUP_ROWS rows rounded up
-    to whole blocks; both arrays are reused for every group.
+    ||u||^2.  The rows are halved, and scaling by 2 commutes with every
+    rounding (no value here nears the float range's ends), so both sums
+    of u / 2 are those of u divided by 4, bit for bit, and are multiplied
+    back with the width's factors: one pass over each block less than
+    forming u.  The sums are written in place to the two rows of sums,
+    which are reused for every group; every group but the last fills
+    as many whole blocks as they hold.
     """
-    n, width = mesh.n, mesh.width
-    block = max(1, _BLOCK_CELLS // n)
-    image, comp = np.empty((2, min(-(-_GROUP_ROWS // block) * block, samples + 2)))
+    width = mesh.width
+    image, comp = sums
     filled = 0
-    for U in _row_blocks(n, samples, rng):
+    for U in _row_blocks(mesh.n, samples, rng, buffer, extras):
         k = U.shape[0]
         if filled + k > image.size:
             yield image[:filled], comp[:filled]
             filled = 0
-        squares = _row_dots(U, U)
+        squares = _row_dots(U, U, comp[filled : filled + k])
         P = np.cumsum(U, axis=-1, out=U)
-        image[filled : filled + k] = width**3 / 3.0 * _walk_energy(P, squares)
-        comp[filled : filled + k] = width * squares
+        energy = _walk_energy(P, squares, image[filled : filled + k])
+        energy *= width**3 / 3.0 * 4.0
+        squares *= width * 4.0
         filled += k
     yield image[:filled], comp[:filled]
 
 
+def _range_minimum(mesh: Mesh, samples: int, rng: np.random.Generator, work, extras: bool):
+    """(ratio, offset, nsq, chain_passed) over one range of sampled rows.
+
+    The least f''(d, d) / ||d||^2 of the range's rows, the offset in the
+    range and ||d||^2 of the first row attaining it, and whether every
+    row passed the four chain links within _CHAIN_TOL.  work is the
+    range's block buffer, its (6, group) float sums and its group of
+    bools; the chain and the ratios are evaluated in place there once
+    per group, so the range allocates no array per block or group.
+    """
+    buffer, sums, mask = work
+    best, offset, passed = (np.inf, 0, 0.0), 0, True
+    for image, comp in _row_sums(mesh, samples, rng, buffer, sums[:2], extras):
+        k = image.size
+        form, nsq, sixth, bound = sums[2:, :k]
+        form, nsq, links = _chain(1.0, image, comp, (form, nsq, sixth))
+        for _, lhs, rhs in links:
+            np.add(rhs, _CHAIN_TOL, out=bound)
+            passed &= bool(np.less_equal(lhs, bound, out=mask[:k]).all())
+        ratios = np.divide(form, nsq, out=bound)
+        i = int(np.argmin(ratios))
+        if ratios[i] < best[0]:
+            best = (float(ratios[i]), offset + i, float(nsq[i]))
+        offset += k
+    return (*best, passed)
+
+
+def _workers(n: int, samples: int) -> int:
+    """Row ranges of the sampled pass: one per CPU this process may run
+    on, at most one per _BLOCK_CELLS sampled cells, and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform with no CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, samples * n // _BLOCK_CELLS))
+
+
+def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of rng advanced past its next draws numbers; rng is left as it was."""
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(draws)
+    return np.random.Generator(bit_generator)
+
+
 def _sampled_row(n: int, samples: int, rng: np.random.Generator, index: int) -> np.ndarray:
-    """Row index of _row_blocks(n, samples, rng), drawn again.
+    """Row index of the sampled pass from generator rng, drawn again.
 
     Sampled row i is the n numbers after the first i * n of rng's
     stream, so a copy of rng is advanced past those and draws it; rng is
@@ -200,9 +263,32 @@ def _sampled_row(n: int, samples: int, rng: np.random.Generator, index: int) -> 
     """
     if index >= samples:
         return np.zeros(n) if index == samples else alternating_signs(n)
-    bit_generator = copy.deepcopy(rng.bit_generator)
-    bit_generator.advance(index * n)
-    return np.random.Generator(bit_generator).uniform(-1.0, 1.0, size=n)
+    return _jumped(rng, index * n).uniform(-1.0, 1.0, size=n)
+
+
+def _ranges(mesh: Mesh, samples: int, rng: np.random.Generator) -> list:
+    """The row ranges of the sampled pass, as (first row, arguments of
+    _range_minimum) each.
+
+    The samples rows are split into W = _workers(n, samples) contiguous
+    ranges (at most one a row), the last one carrying the two extra
+    rows.  Each range draws from a copy of rng advanced past the rows
+    before it, and gets its W-th share of _BLOCK_CELLS cells (a row a
+    block, above _ROW_PIECE cells a row) and of _GROUP_ROWS rows.
+    """
+    n = mesh.n
+    workers = min(_workers(n, samples), samples)
+    block = max(1, _BLOCK_CELLS // workers // n) if n <= _ROW_PIECE else 1
+    group_rows = max(1, _GROUP_ROWS // workers)
+    bounds = [samples * k // workers for k in range(workers + 1)]
+    ranges = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        extras = hi == samples
+        buffer = np.empty((min(hi - lo, block), n))
+        group = min(-(-group_rows // len(buffer)) * len(buffer), hi - lo + 2 * extras)
+        work = (buffer, np.empty((6, group)), np.empty(group, dtype=bool))
+        ranges.append((lo, (mesh, hi - lo, _jumped(rng, lo * n), work, extras)))
+    return ranges
 
 
 def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
@@ -211,29 +297,47 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     Returns (ratio, index, row, nsq, chain_passed): the smallest
     f''(d, d) / ||d||^2, the global index, cell values and ||d||^2 of
     the first row attaining it, and whether every row passed the four
-    chain links within _CHAIN_TOL.
+    chain links within _CHAIN_TOL; rng ends advanced past the
+    samples * n numbers of the draws, as if it had drawn them itself.
 
-    The rows' sums come in groups (_row_sums); the chain, the ratios and
-    their minimum are taken once per group.  The one block buffer is
-    overwritten as the pass goes, so the worst row is drawn again by its
-    index from the generator state the pass started at (_sampled_row).
+    The caller runs the first range of _ranges and one thread each runs
+    the others, on every CPU the process may use.  Every range's arrays
+    are allocated before any range starts and freed after the last one
+    ends, so the pass holds the same memory whatever the threads' timing.
+    The ranges' minima merge by (ratio, global index), which keeps the
+    first row attaining the least ratio, so no output depends on the
+    number of ranges.  The block buffers are overwritten as the pass
+    goes, so the worst row is drawn again by its index (_sampled_row).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    start = copy.deepcopy(rng)
-    best = (np.inf, 0, 0.0)
-    rows, passed = 0, True
-    for image, comp in _row_sums(mesh, samples, rng):
-        form, nsq, links = _chain(1.0, image, comp)
-        passed = passed and all(np.all(lhs <= rhs + _CHAIN_TOL) for _, lhs, rhs in links)
-        ratios = form / nsq
-        k = int(np.argmin(ratios))
-        if ratios[k] < best[0]:
-            best = (float(ratios[k]), rows + k, float(nsq[k]))
-        rows += image.size
-    ratio, index, nsq = best
-    row = _sampled_row(mesh.n, samples, start, index)
-    return ratio, index, row, nsq, bool(passed)
+    ranges = _ranges(mesh, samples, rng)
+    results = [None] * len(ranges)
+
+    def run(i):
+        try:
+            results[i] = _range_minimum(*ranges[i][1])
+        except BaseException as error:  # raised below, once every range has ended
+            results[i] = error
+
+    threads = []
+    try:
+        for i in range(1, len(ranges)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    ratio, index, nsq = min((r[0], lo + r[1], r[2]) for (lo, _), r in zip(ranges, results))
+    del ranges  # the workspaces, before the worst row is drawn again
+    row = _sampled_row(mesh.n, samples, rng, index)
+    rng.bit_generator.advance(samples * mesh.n)
+    return ratio, index, row, nsq, all(r[3] for r in results)
 
 
 def coercivity_estimate(

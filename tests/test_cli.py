@@ -1,10 +1,12 @@
-"""End-to-end checks of the command line interface via subprocess."""
+"""End-to-end checks of the command line interface, mostly via subprocess."""
 
 import json
 import subprocess
 import sys
 
 import pytest
+
+from conelab import cli, ssc
 
 
 def run_cli(*args):
@@ -25,6 +27,22 @@ def test_verify_ssc_command():
     assert payload["chain_checks_passed"] is True
     assert payload["samples"] >= 200
     assert "beta" in result.stderr
+
+
+def test_verify_ssc_fails_when_a_chain_link_fails(monkeypatch, capsys):
+    # with a negative slack the first link fails on every row, while the
+    # estimate still clears the certified bound
+    monkeypatch.setattr(ssc, "_CHAIN_TOL", -1.0)
+    assert cli.main(["verify-ssc", "--n", "16", "--samples", "200"]) == 1
+    out, err = capsys.readouterr()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["chain_checks_passed"] is False
+    assert payload["beta_estimate"] >= payload["beta_certified"]
+    assert "FAIL" in err
 
 
 def test_verify_ssc_memory_is_bounded_in_samples():

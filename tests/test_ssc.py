@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -196,15 +198,21 @@ def _one_shot(mesh, samples, rng, tol=1e-10):
     return U, form / nsq, nsq, bool(chain)
 
 
-def test_sampled_pass_matches_one_shot_reference():
+def _pass_cases():
     cases = [
         (n, (1, block - 1, block, block + 1, 1000))
         for n in (1, 2, 5, 12, 13, 64, 2048)
         for block in [max(1, ssc._BLOCK_CELLS // n)]
     ]
-    # one row per block: single-row slices of both reused buffers
+    # rows that np.einsum sums in pieces within a block of several rows
+    cases.append((ssc._ROW_PIECE + 1, (1, 2, 5)))
+    # one row per block whatever the number of ranges
     cases.append((ssc._BLOCK_CELLS + 1, (1, 2, 3)))
-    for n, sample_counts in cases:
+    return cases
+
+
+def test_sampled_pass_matches_one_shot_reference():
+    for n, sample_counts in _pass_cases():
         mesh = Mesh(n)
         for samples in sample_counts:
             for seed in (0, 7):
@@ -219,6 +227,119 @@ def test_sampled_pass_matches_one_shot_reference():
                 ).to_json()
                 got = coercivity_estimate(mesh, samples=samples, seed=seed).to_json()
                 assert got == expected, (n, samples, seed)
+
+
+def test_row_sums_do_not_depend_on_the_ranges(monkeypatch):
+    # np.einsum sums a row of more than _ROW_PIECE cells in pieces when
+    # the row shares its block, and in one piece alone, so such rows get
+    # a block each; every row's sums are then the same bits whatever
+    # block and range the row falls in, and the sums of the halved rows
+    # times 4 are those of the rows, each taken alone
+    def row_sums(workers, n, samples):
+        monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
+        out = []
+        ranges = ssc._ranges(Mesh(n), samples, np.random.default_rng(n))
+        for _, (mesh, rows, rng, (buffer, sums, _), extras) in ranges:
+            for image, comp in ssc._row_sums(mesh, rows, rng, buffer, sums[:2], extras):
+                out.append(np.stack([image, comp]))
+        return np.concatenate(out, axis=1).view(np.int64)
+
+    piece = ssc._ROW_PIECE
+    for n, samples in ((1, 3000), (13, 700), (2048, 100), (piece, 20), (piece + 1, 20), (20000, 9)):
+        serial = row_sums(1, n, samples)
+        rows = np.random.default_rng(n).uniform(-1.0, 1.0, size=(samples, n))
+        rows = np.vstack([rows, np.zeros(n), alternating_signs(n)])[:, None, :]
+        width = Mesh(n).width
+        image = [width**3 / 3.0 * walk_energy(row)[0] for row in rows]
+        comp = [width * ssc._row_dots(row, row)[0] for row in rows]
+        np.testing.assert_array_equal(serial, np.array([image, comp]).view(np.int64))
+        for workers in (2, 3, 8):
+            np.testing.assert_array_equal(row_sums(workers, n, samples), serial)
+
+
+@pytest.mark.parametrize("extras", ["alternating", "zero"])
+def test_worker_count_cannot_change_a_report(monkeypatch, extras):
+    # each range of rows draws from a generator advanced past the rows
+    # before it, and the ranges' minima merge by (ratio, index), so the
+    # reports and the generator's end state are those of one range; 8
+    # ranges are more than the rows at samples 1, 2, 3 and 5, and are cut
+    # to one a row.  The alternating
+    # extra row attains the least ratio, so with it replaced by zeros the
+    # worst row is a sampled one, and the reports depend on the draws
+    if extras == "zero":
+        monkeypatch.setattr(ssc, "alternating_signs", np.zeros)
+
+    def outputs(workers):
+        monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
+        out = []
+        for n, sample_counts in _pass_cases():
+            mesh = Mesh(n)
+            for samples in sample_counts:
+                for seed in (0, 7):
+                    rng = np.random.default_rng(seed)
+                    ssc._sampled_pass(mesh, samples, rng)
+                    out.append((
+                        coercivity_estimate(mesh, samples=samples, seed=seed).to_json(),
+                        growth_estimate(mesh, epsilon=0.5, samples=samples, seed=seed).to_json(),
+                        rng.bit_generator.state,
+                    ))
+        return out
+
+    serial = outputs(1)
+    states = []
+    for n, sample_counts in _pass_cases():
+        for samples in sample_counts:
+            for seed in (0, 7):
+                reference = np.random.default_rng(seed)
+                reference.uniform(-1.0, 1.0, size=(samples, n))
+                states.append(reference.bit_generator.state)
+    assert [state for _, _, state in serial] == states
+    assert outputs(2) == serial
+    assert outputs(3) == serial
+    # more threads than CPUs, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert outputs(8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_chain_failure_in_the_last_range_fails_the_report(monkeypatch, workers):
+    # with a slack of -1e-9 only the alternating extra row, the last row
+    # of the last range, breaks a link: ||u||^2 = 1 > t^2 - 1e-9
+    monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
+    mesh = Mesh(64)
+    assert coercivity_estimate(mesh, samples=3000).chain_checks_passed
+    monkeypatch.setattr(ssc, "_CHAIN_TOL", -1e-9)
+    assert not coercivity_estimate(mesh, samples=3000).chain_checks_passed
+
+
+@pytest.mark.parametrize("failing_range", [1, 2])
+def test_no_thread_outlives_the_pass(monkeypatch, failing_range):
+    # range 1 runs in the caller and range 2 in a thread; an error in
+    # either is raised from the estimate once the thread has ended
+    monkeypatch.setattr(ssc, "_workers", lambda n, samples: 2)
+    mesh = Mesh(2048)
+    baseline = threading.active_count()
+    coercivity_estimate(mesh, samples=100)
+    assert threading.active_count() == baseline
+    row_dots, caller = ssc._row_dots, threading.current_thread()
+    raised = []
+
+    def faulty(x, y, out=None):
+        if (threading.current_thread() is caller) == (failing_range == 1):
+            raised.append(FloatingPointError(f"range {failing_range}"))
+            raise raised[-1]
+        return row_dots(x, y, out)
+
+    monkeypatch.setattr(ssc, "_row_dots", faulty)
+    for estimate in (coercivity_estimate, growth_estimate):
+        with pytest.raises(FloatingPointError) as error:
+            estimate(mesh, samples=100)
+        assert error.value is raised[-1]
+        assert threading.active_count() == baseline
 
 
 def test_growth_estimate_is_the_coercivity_ratio():
@@ -249,25 +370,36 @@ def test_growth_estimate_is_the_coercivity_ratio():
         assert s == epsilon * radius / np.sqrt(nsq[worst])
 
 
-def test_row_blocks_reproduce_one_uniform_draw():
-    # the blocks reuse one buffer, so each is copied before the next draw;
-    # together they are one rng.uniform(-1, 1) draw bit for bit, and the
-    # generator ends in the same state
-    for n in (1, 13, 2048, 2**19):
-        block = max(1, ssc._BLOCK_CELLS // n)
-        for samples in (1, block - 1, block, block + 1, 3 * block + 5):
-            rng = np.random.default_rng(n + samples)
-            blocks = [U.copy() for U in ssc._row_blocks(n, samples, rng)]
-            extras = blocks.pop()
-            np.testing.assert_array_equal(extras, [np.zeros(n), alternating_signs(n)])
-            assert all(U.shape[0] <= block for U in blocks)
-            rows = np.concatenate([np.empty((0, n)), *blocks])
-            reference = np.random.default_rng(n + samples)
-            expected = reference.uniform(-1.0, 1.0, size=(samples, n))
-            np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))
-            np.testing.assert_array_equal(
-                rng.uniform(size=5).view(np.int64), reference.uniform(size=5).view(np.int64)
-            )
+def test_row_blocks_reproduce_one_uniform_draw(monkeypatch):
+    # each range of the pass draws its blocks of halved rows into its own
+    # reused buffer, so each block is copied before the next draw; the
+    # ranges, each drawing from a copy of the generator advanced past the
+    # rows before it, are together half of one rng.uniform(-1, 1) draw
+    # bit for bit
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
+        for n in (1, 13, 2048, ssc._ROW_PIECE + 1, 2**19):
+            block = max(1, ssc._BLOCK_CELLS // workers // n) if n <= ssc._ROW_PIECE else 1
+            for samples in (1, 2, block - 1, block, block + 1, 3 * block + 5):
+                if samples < 1:
+                    continue
+                blocks = []
+                ranges = ssc._ranges(Mesh(n), samples, np.random.default_rng(n + samples))
+                for lo, (_, rows, rng, (buffer, *_), extras) in ranges:
+                    assert lo == sum(len(U) for U in blocks)
+                    assert extras == (lo + rows == samples)
+                    for U in ssc._row_blocks(n, rows, rng, buffer, extras):
+                        assert np.shares_memory(U, buffer) and len(U) <= block
+                        blocks.append(U.copy())
+                extras = blocks[-2:]
+                del blocks[-2:]
+                np.testing.assert_array_equal(extras, [[np.zeros(n)], [alternating_signs(n) / 2]])
+                rows = 2 * np.concatenate([np.empty((0, n)), *blocks])
+                reference = np.random.default_rng(n + samples)
+                expected = reference.uniform(-1.0, 1.0, size=(samples, n))
+                np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))
+                # the last range's generator ends where the one draw does
+                assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_sampled_row_is_the_row_of_one_uniform_draw():
