@@ -90,18 +90,19 @@ def _cmd_verify_ssc(args: argparse.Namespace) -> int:
     mesh = Mesh(args.n)
     stationarity = check_stationarity(0.0, ConePoint.apex(mesh))
     report = coercivity_estimate(mesh, samples=args.samples, seed=args.seed)
-    ok = (
-        stationarity <= _STATIONARITY_LIMIT
-        and report.beta_estimate >= report.beta_certified - _CERTIFIED_SLACK
-        and report.chain_checks_passed
-    )
+    checks = {
+        "apex stationarity": stationarity <= _STATIONARITY_LIMIT,
+        "certified bound": report.beta_estimate >= report.beta_certified - _CERTIFIED_SLACK,
+        "chain": report.chain_checks_passed,
+    }
+    failed = ", ".join(name for name, passed in checks.items() if not passed)
     _emit(
         {"stationarity": stationarity, **report.as_dict()},
         f"apex stationarity {stationarity:.3e}, beta_estimate "
         f"{report.beta_estimate:.9f} vs certified {report.beta_certified:.9f}: "
-        f"{'ok' if ok else 'FAIL'}",
+        f"{f'FAIL ({failed})' if failed else 'ok'}",
     )
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

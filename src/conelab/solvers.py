@@ -506,9 +506,10 @@ def bangbang_ladder(
     descents, and a size's own level is the start of a finer size that
     halves to it (512 ... 4096 descend the 7 levels 64 ... 4096).  A
     level is kept only until the last finer level that starts from it
-    is built, and nothing outlives the iteration.
+    is built, and nothing outlives the iteration.  A size below 1 is
+    refused, as by Mesh, before any level is descended.
     """
-    wanted, levels = set(sizes), set()
+    wanted, levels = {Mesh(n).n for n in sizes}, set()
     _check_size(max(wanted, default=0))
     for n in wanted:
         while n not in levels:
@@ -636,11 +637,11 @@ def canonical_reports(
     nothing.  pgd starts from the projection of (h, 0), and brute needs
     no start.  Each start depends on n and opts.max_iterations alone, so
     a report does not depend on what else is listed.  A negative or
-    non-finite tilt, then an unknown method, is refused before any
-    start is built.
+    non-finite tilt, then a size below 1 (as by Mesh), then an unknown
+    method, is refused before any start is built.
     """
     opts = opts or SolverOptions()
-    tilts, sizes = {check_tilt(h) for h in h_list}, set(n_list)
+    tilts, sizes = {check_tilt(h) for h in h_list}, {Mesh(n).n for n in n_list}
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if method != "bangbang":

@@ -150,21 +150,16 @@ class GrowthReport:
         return json.dumps(self.as_dict(), allow_nan=False)
 
 
-def _row_blocks(n: int, samples: int, rng: np.random.Generator, buffer, extras: bool):
-    """Halved cell-value rows u / 2 of sampled cone directions d = (1, u), in blocks.
+def _row_blocks(samples: int, rng: np.random.Generator, buffer):
+    """Halved cell-value rows u / 2 of samples uniform draws u_i ~ U(-1, 1), in blocks.
 
-    samples uniform rows u_i ~ U(-1, 1) (the next samples * n numbers of
-    rng, as one (samples, n) draw), then, with extras, u = 0 and the
-    alternating pattern.  Every vertex u = sigma has ||u||^2 = 1, and the
-    alternating one has the least walk energy (operators.walk_energy), so
-    it attains the least vertex ratio.
-
-    Every block is a view of buffer (n cells a row, a block a buffer),
-    refilled in place: a caller may overwrite a block, and one that keeps
-    a row past the next block must copy it.  The extra rows come one
-    block each.  x - 1/2 for x from rng.random is exact, and twice it is
-    bit for bit what rng.uniform(-1.0, 1.0) returns, which consumes the
-    generator the same way; so the rows do not depend on the block size.
+    The rows are the next samples * n numbers of rng, as one
+    (samples, n) draw.  Every block is a view of buffer (n cells a row,
+    a block a buffer), refilled in place: a caller may overwrite a
+    block, and one that keeps a row past the next block must copy it.
+    x - 1/2 for x from rng.random is exact, and twice it is bit for bit
+    what rng.uniform(-1.0, 1.0) returns, which consumes the generator
+    the same way; so the rows do not depend on the block size.
     """
     block = len(buffer)
     for start in range(0, samples, block):
@@ -172,18 +167,13 @@ def _row_blocks(n: int, samples: int, rng: np.random.Generator, buffer, extras: 
         rng.random(out=U)
         U -= 0.5
         yield U
-    if extras:
-        U = buffer[:1]
-        for row in (0.0, alternating_signs(n)):
-            np.multiply(row, 0.5, out=U[0])
-            yield U
 
 
-def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator, buffer, sums, extras: bool):
-    """||S u||^2 and ||u||^2 of the rows of _row_blocks, in groups.
+def _row_sums(mesh: Mesh, blocks, sums):
+    """||S u||^2 and ||u||^2 of the halved rows u / 2 in blocks, in groups.
 
     Each block's sums of squares are taken first; its prefix sums then
-    overwrite its draws (np.cumsum(U, out=U)), and each row's sum of
+    overwrite it (np.cumsum(U, out=U)), and each row's sum of
     squares serves both its walk energy (operators._walk_energy) and
     ||u||^2.  The rows are halved, and scaling by 2 commutes with every
     rounding (no value here nears the float range's ends), so both sums
@@ -196,7 +186,7 @@ def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator, buffer, sums, 
     width = mesh.width
     image, comp = sums
     filled = 0
-    for U in _row_blocks(mesh.n, samples, rng, buffer, extras):
+    for U in blocks:
         k = U.shape[0]
         if filled + k > image.size:
             yield image[:filled], comp[:filled]
@@ -210,19 +200,19 @@ def _row_sums(mesh: Mesh, samples: int, rng: np.random.Generator, buffer, sums, 
     yield image[:filled], comp[:filled]
 
 
-def _range_minimum(mesh: Mesh, samples: int, rng: np.random.Generator, work, extras: bool):
-    """(ratio, offset, nsq, chain_passed) over one range of sampled rows.
+def _range_minimum(mesh: Mesh, blocks, work):
+    """(ratio, offset, nsq, chain_passed) over the halved rows in blocks.
 
-    The least f''(d, d) / ||d||^2 of the range's rows, the offset in the
-    range and ||d||^2 of the first row attaining it, and whether every
-    row passed the four chain links within _CHAIN_TOL.  work is the
-    range's block buffer, its (6, group) float sums and its group of
-    bools; the chain and the ratios are evaluated in place there once
-    per group, so the range allocates no array per block or group.
+    The least f''(d, d) / ||d||^2 of the rows d = (1, u), the offset
+    among them and ||d||^2 of the first row attaining it, and whether
+    every row passed the four chain links within _CHAIN_TOL.  work is
+    (6, group) float sums and a group of bools; the chain and the ratios
+    are evaluated in place there once per group, so the rows allocate no
+    array per block or group.
     """
-    buffer, sums, mask = work
+    sums, mask = work
     best, offset, passed = (np.inf, 0, 0.0), 0, True
-    for image, comp in _row_sums(mesh, samples, rng, buffer, sums[:2], extras):
+    for image, comp in _row_sums(mesh, blocks, sums[:2]):
         k = image.size
         form, nsq, sixth, bound = sums[2:, :k]
         form, nsq, links = _chain(1.0, image, comp, (form, nsq, sixth))
@@ -259,7 +249,9 @@ def _sampled_row(n: int, samples: int, rng: np.random.Generator, index: int) -> 
 
     Sampled row i is the n numbers after the first i * n of rng's
     stream, so a copy of rng is advanced past those and draws it; rng is
-    left as it was.  Rows samples and samples + 1 are the extra rows.
+    left as it was.  The extra rows samples and samples + 1 are u = 0
+    and the alternating pattern, the vertex of least walk energy
+    (operators.walk_energy) and so of least ratio.
     """
     if index >= samples:
         return np.zeros(n) if index == samples else alternating_signs(n)
@@ -270,11 +262,11 @@ def _ranges(mesh: Mesh, samples: int, rng: np.random.Generator) -> list:
     """The row ranges of the sampled pass, as (first row, arguments of
     _range_minimum) each.
 
-    The samples rows are split into W = _workers(n, samples) contiguous
-    ranges (at most one a row), the last one carrying the two extra
-    rows.  Each range draws from a copy of rng advanced past the rows
-    before it, and gets its W-th share of _BLOCK_CELLS cells (a row a
-    block, above _ROW_PIECE cells a row) and of _GROUP_ROWS rows.
+    The samples drawn rows (no extra row) are split into W =
+    _workers(n, samples) contiguous ranges (at most one a row).  Each
+    range draws its _row_blocks from a copy of rng advanced past the
+    rows before it, and gets its W-th share of _BLOCK_CELLS cells (a row
+    a block, above _ROW_PIECE cells a row) and of _GROUP_ROWS rows.
     """
     n = mesh.n
     workers = min(_workers(n, samples), samples)
@@ -283,11 +275,11 @@ def _ranges(mesh: Mesh, samples: int, rng: np.random.Generator) -> list:
     bounds = [samples * k // workers for k in range(workers + 1)]
     ranges = []
     for lo, hi in zip(bounds, bounds[1:]):
-        extras = hi == samples
         buffer = np.empty((min(hi - lo, block), n))
-        group = min(-(-group_rows // len(buffer)) * len(buffer), hi - lo + 2 * extras)
-        work = (buffer, np.empty((6, group)), np.empty(group, dtype=bool))
-        ranges.append((lo, (mesh, hi - lo, _jumped(rng, lo * n), work, extras)))
+        group = min(-(-group_rows // len(buffer)) * len(buffer), hi - lo)
+        blocks = _row_blocks(hi - lo, _jumped(rng, lo * n), buffer)
+        work = (np.empty((6, group)), np.empty(group, dtype=bool))
+        ranges.append((lo, (mesh, blocks, work)))
     return ranges
 
 
@@ -301,16 +293,18 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     samples * n numbers of the draws, as if it had drawn them itself.
 
     The caller runs the first range of _ranges and one thread each runs
-    the others, on every CPU the process may use.  Every range's arrays
-    are allocated before any range starts and freed after the last one
-    ends, so the pass holds the same memory whatever the threads' timing.
-    The ranges' minima merge by (ratio, global index), which keeps the
-    first row attaining the least ratio, so no output depends on the
-    number of ranges.  The block buffers are overwritten as the pass
-    goes, so the worst row is drawn again by its index (_sampled_row).
+    the others, on every CPU the process may use; every range's arrays
+    are allocated before any starts, so the peak does not depend on the
+    threads' timing.  Then the caller scores the two extra rows of
+    _sampled_row, a 1-row block each, in the first range's group arrays.
+    All minima merge by (ratio, global index), which keeps the first row
+    attaining the least ratio, so no output depends on the number of
+    ranges.  The buffers are overwritten as the pass goes, so the worst
+    row is drawn again by its index.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    n = mesh.n
     ranges = _ranges(mesh, samples, rng)
     results = [None] * len(ranges)
 
@@ -333,10 +327,13 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    ratio, index, nsq = min((r[0], lo + r[1], r[2]) for (lo, _), r in zip(ranges, results))
+    extras = (0.5 * _sampled_row(n, samples, rng, i)[None] for i in (samples, samples + 1))
+    results.append(_range_minimum(mesh, extras, ranges[0][1][2]))
+    firsts = [lo for lo, _ in ranges] + [samples]
+    ratio, index, nsq = min((r[0], lo + r[1], r[2]) for lo, r in zip(firsts, results))
     del ranges  # the workspaces, before the worst row is drawn again
-    row = _sampled_row(mesh.n, samples, rng, index)
-    rng.bit_generator.advance(samples * mesh.n)
+    row = _sampled_row(n, samples, rng, index)
+    rng.bit_generator.advance(samples * n)
     return ratio, index, row, nsq, all(r[3] for r in results)
 
 

@@ -515,6 +515,22 @@ def test_gain_scan_bound_and_the_walk_only_path(monkeypatch):
     assert reports() == transduced
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_every_method_refuses_a_size_below_one(monkeypatch, n):
+    # as Mesh does, before any level is descended; with a valid size
+    # listed too, so the refusal does not wait for the bad size's turn
+    def no_descent(s, max_sweeps):
+        raise AssertionError("a level was descended before the size check")
+
+    monkeypatch.setattr(solvers, "_descend", no_descent)
+    for method in solvers.METHODS:
+        for tilts in ([0.1], [0.0, 0.1]):
+            with pytest.raises(ValueError, match=f"cell count must be >= 1, got {n}$"):
+                list(solvers.canonical_reports(tilts, [4, n], method))
+    with pytest.raises(ValueError, match=f"cell count must be >= 1, got {n}$"):
+        list(solvers.bangbang_ladder([4, n], 10))
+
+
 def test_bangbang_refuses_sizes_past_the_int64_bound(monkeypatch):
     # refused on entry, before the start is read or a level is built
     class Unread:

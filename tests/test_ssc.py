@@ -234,13 +234,17 @@ def test_row_sums_do_not_depend_on_the_ranges(monkeypatch):
     # the row shares its block, and in one piece alone, so such rows get
     # a block each; every row's sums are then the same bits whatever
     # block and range the row falls in, and the sums of the halved rows
-    # times 4 are those of the rows, each taken alone
+    # times 4 are those of the rows, each taken alone; the extra rows
+    # follow, a 1-row block each, as the pass scores them
     def row_sums(workers, n, samples):
         monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
-        out = []
-        ranges = ssc._ranges(Mesh(n), samples, np.random.default_rng(n))
-        for _, (mesh, rows, rng, (buffer, sums, _), extras) in ranges:
-            for image, comp in ssc._row_sums(mesh, rows, rng, buffer, sums[:2], extras):
+        mesh, rng, out = Mesh(n), np.random.default_rng(n), []
+        for _, (_, blocks, (sums, _)) in ssc._ranges(mesh, samples, rng):
+            for image, comp in ssc._row_sums(mesh, blocks, sums[:2]):
+                out.append(np.stack([image, comp]))
+        for index in (samples, samples + 1):
+            extra = [ssc._sampled_row(n, samples, rng, index)[None] / 2]
+            for image, comp in ssc._row_sums(mesh, extra, sums[:2]):
                 out.append(np.stack([image, comp]))
         return np.concatenate(out, axis=1).view(np.int64)
 
@@ -305,10 +309,58 @@ def test_worker_count_cannot_change_a_report(monkeypatch, extras):
         sys.setswitchinterval(interval)
 
 
+def test_a_sampled_worst_row_matches_one_uniform_draw(monkeypatch):
+    # with both extra rows zero (ratio 2, above every nonzero row's) a
+    # sampled row decides every field, so the reports check each range's
+    # draws, sums and minimum, and the worst row's redraw and radius,
+    # against one rng.uniform(-1, 1) draw; rows of more than _ROW_PIECE
+    # cells are summed one at a time, as the pass sums them
+    sampled_row = ssc._sampled_row
+
+    def zero_extras(n, samples, rng, index):
+        return np.zeros(n) if index >= samples else sampled_row(n, samples, rng, index)
+
+    monkeypatch.setattr(ssc, "_sampled_row", zero_extras)
+    for n, sample_counts in _pass_cases():
+        mesh = Mesh(n)
+        width = mesh.width
+        for samples in sample_counts:
+            for seed in (0, 7):
+                rng = np.random.default_rng(seed)
+                U = rng.uniform(-1.0, 1.0, size=(samples, n))
+                rows = [U] if n <= ssc._ROW_PIECE else np.split(U, samples)
+                image = np.concatenate([width**3 / 3.0 * walk_energy(R) for R in rows])
+                comp = np.concatenate([width * ssc._row_dots(R, R) for R in rows])
+                form, nsq = 2.0 + 2.0 * image - comp, 1.0 + comp
+                worst = int(np.argmin(form / nsq))
+                radius = 1.0 - rng.uniform(0.0, 1.0, size=samples)[worst]
+                scale = 0.5 * radius / np.sqrt(nsq[worst])
+                beta = ssc.CoercivityReport(
+                    beta_estimate=float(form[worst] / nsq[worst]),
+                    beta_certified=BETA_CERTIFIED,
+                    samples=samples,
+                    worst_direction=ConePoint(1.0, GridFunction(mesh, U[worst])),
+                    chain_checks_passed=True,
+                ).to_json()
+                delta = ssc.GrowthReport(
+                    delta_estimate=float(form[worst] / nsq[worst]),
+                    epsilon=0.5,
+                    samples=samples,
+                    worst_point=ConePoint(float(scale), GridFunction(mesh, U[worst] * scale)),
+                ).to_json()
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
+                    case = (n, samples, seed, workers)
+                    got = coercivity_estimate(mesh, samples=samples, seed=seed)
+                    assert got.to_json() == beta, case
+                    got = growth_estimate(mesh, epsilon=0.5, samples=samples, seed=seed)
+                    assert got.to_json() == delta, case
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_chain_failure_in_the_last_range_fails_the_report(monkeypatch, workers):
-    # with a slack of -1e-9 only the alternating extra row, the last row
-    # of the last range, breaks a link: ||u||^2 = 1 > t^2 - 1e-9
+def test_a_chain_failure_in_an_extra_row_fails_the_report(monkeypatch, workers):
+    # with a slack of -1e-9 only the alternating extra row, scored after
+    # the ranges, breaks a link: ||u||^2 = 1 > t^2 - 1e-9
     monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
     mesh = Mesh(64)
     assert coercivity_estimate(mesh, samples=3000).chain_checks_passed
@@ -375,7 +427,14 @@ def test_row_blocks_reproduce_one_uniform_draw(monkeypatch):
     # reused buffer, so each block is copied before the next draw; the
     # ranges, each drawing from a copy of the generator advanced past the
     # rows before it, are together half of one rng.uniform(-1, 1) draw
-    # bit for bit
+    # bit for bit, with no extra row
+    jumped, generators = ssc._jumped, []
+
+    def recorded(rng, draws):
+        generators.append(jumped(rng, draws))
+        return generators[-1]
+
+    monkeypatch.setattr(ssc, "_jumped", recorded)
     for workers in (1, 2, 3):
         monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
         for n in (1, 13, 2048, ssc._ROW_PIECE + 1, 2**19):
@@ -385,21 +444,19 @@ def test_row_blocks_reproduce_one_uniform_draw(monkeypatch):
                     continue
                 blocks = []
                 ranges = ssc._ranges(Mesh(n), samples, np.random.default_rng(n + samples))
-                for lo, (_, rows, rng, (buffer, *_), extras) in ranges:
+                for lo, (_, range_blocks, _) in ranges:
                     assert lo == sum(len(U) for U in blocks)
-                    assert extras == (lo + rows == samples)
-                    for U in ssc._row_blocks(n, rows, rng, buffer, extras):
-                        assert np.shares_memory(U, buffer) and len(U) <= block
+                    first = None
+                    for U in range_blocks:
+                        first = U if first is None else first
+                        assert np.shares_memory(U, first) and len(U) <= block
                         blocks.append(U.copy())
-                extras = blocks[-2:]
-                del blocks[-2:]
-                np.testing.assert_array_equal(extras, [[np.zeros(n)], [alternating_signs(n) / 2]])
                 rows = 2 * np.concatenate([np.empty((0, n)), *blocks])
                 reference = np.random.default_rng(n + samples)
                 expected = reference.uniform(-1.0, 1.0, size=(samples, n))
                 np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))
                 # the last range's generator ends where the one draw does
-                assert rng.bit_generator.state == reference.bit_generator.state
+                assert generators[-1].bit_generator.state == reference.bit_generator.state
 
 
 def test_sampled_row_is_the_row_of_one_uniform_draw():
