@@ -174,8 +174,8 @@ _COMMANDS = {
             _N,
             _H,
             _METHOD,
-            ("--tol", {"type": _positive_float, "default": 1e-10}),
-            ("--max-iter", {"type": _positive_int, "default": 100000}),
+            ("--tol", {"type": _positive_float, "default": SolverOptions().tolerance}),
+            ("--max-iter", {"type": _positive_int, "default": SolverOptions().max_iterations}),
         ),
     ),
     "sweep": (

@@ -8,6 +8,7 @@ which forces t >= 0.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,27 @@ class ConePoint:
     def as_dict(self) -> dict:
         """The point as plain data, as every report prints it."""
         return {"t": self.t, "u": self.u.values.tolist()}
+
+
+class Report:
+    """The printed shape of a report: its KEYS, in order, as strict JSON.
+
+    A report type lists its keys, fields and properties alike, in KEYS;
+    as_dict reads each one, with a ConePoint as its as_dict, and to_json
+    prints that dict with no NaN or Infinity.
+    """
+
+    KEYS: tuple[str, ...] = ()
+
+    def as_dict(self) -> dict:
+        out = {}
+        for key in self.KEYS:
+            value = getattr(self, key)
+            out[key] = value.as_dict() if isinstance(value, ConePoint) else value
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 _TINY = np.finfo(float).tiny  # the least normal float

@@ -18,7 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 
-from .cone import norm_X
+from .cone import Report, norm_X
 from .grid import Mesh
 from .objective import check_tilt
 from .operators import norm_S_sq
@@ -28,7 +28,7 @@ from .ssc import DELTA_CERTIFIED
 _FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Report):
     h: float
     n: int
     t_star: float
@@ -41,30 +41,23 @@ class SweepRow:
     prop2_bound: float
     prop2_ok: bool
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _ROW_FIELDS}
 
-
-_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-CSV_HEADER = ",".join(_ROW_FIELDS)
+SweepRow.KEYS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(SweepRow.KEYS)
 
 
 @dataclass(frozen=True)
-class StabilityRecord:
+class StabilityRecord(Report):
     """A sweep row plus the audited growth constant and the bound's slack."""
 
     row: SweepRow
     delta: float
     slack: float
 
-    def as_dict(self) -> dict:
-        out = self.row.as_dict()
-        out["delta"] = self.delta
-        out["slack"] = self.slack
-        return out
+    KEYS = ("delta", "slack")
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), allow_nan=False)
+    def as_dict(self) -> dict:
+        return {**self.row.as_dict(), **super().as_dict()}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ read their reports from it.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
@@ -42,6 +41,7 @@ import numpy as np
 from .cone import (
     ConePoint,
     InfeasiblePointError,
+    Report,
     contains,
     norm_X_values,
     project,
@@ -89,7 +89,7 @@ class PontryaginCheck:
 
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Report):
     minimizer: ConePoint
     objective: float
     method: str
@@ -100,6 +100,12 @@ class SolveReport:
     converged: bool
     tie_count: int | None = None
     nonvertex_cells: int = 0
+
+    KEYS = (
+        "minimizer", "objective", "method", "iterations", "stationarity",
+        "pontryagin_residual", "sign_changes", "converged", "tie_count",
+        "tie_count_log2", "nonvertex_cells",
+    )
 
     @property
     def tie_count_log2(self) -> float | None:
@@ -112,26 +118,11 @@ class SolveReport:
         interpreter converts (sys.get_int_max_str_digits); tie_count_log2
         still gives its size then.
         """
+        out = super().as_dict()
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        tie_count = self.tie_count
-        if tie_count is not None and limit and tie_count >= 10**limit:
-            tie_count = None
-        return {
-            "minimizer": self.minimizer.as_dict(),
-            "objective": self.objective,
-            "method": self.method,
-            "iterations": self.iterations,
-            "stationarity": self.stationarity,
-            "pontryagin_residual": self.pontryagin_residual,
-            "sign_changes": self.sign_changes,
-            "converged": self.converged,
-            "tie_count": tie_count,
-            "tie_count_log2": self.tie_count_log2,
-            "nonvertex_cells": self.nonvertex_cells,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), allow_nan=False)
+        if self.tie_count is not None and limit and self.tie_count >= 10**limit:
+            out["tie_count"] = None
+        return out
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -142,6 +133,11 @@ def count_sign_changes(values: np.ndarray) -> int:
 
 def all_plus_signs(n: int) -> np.ndarray:
     return np.ones(n)
+
+
+def _interior(t: float, u: np.ndarray, tol: float) -> np.ndarray:
+    # The cells off both endpoints of [-t, t] by more than the absolute tol.
+    return np.abs(np.abs(u) - t) > tol
 
 
 def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
@@ -166,7 +162,7 @@ def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
         np.abs(u + p.t * np.sign(g)),
         np.maximum(np.abs(u) - p.t, 0.0),
     )
-    nonvertex = int(np.count_nonzero(np.abs(np.abs(u) - p.t) > tol))
+    nonvertex = int(np.count_nonzero(_interior(p.t, u, tol)))
     return PontryaginCheck(residual=float(deviation.max()), nonvertex_cells=nonvertex)
 
 
@@ -190,7 +186,7 @@ def _build_report(
         stationarity=stat,
         pontryagin_residual=check.residual,
         sign_changes=count_sign_changes(p.u.values),
-        converged=bool(reached and stat <= opts.tolerance),
+        converged=bool(reached and stat <= opts.tolerance and not check.nonvertex_cells),
         tie_count=tie_count,
         nonvertex_cells=check.nonvertex_cells,
     )
@@ -219,7 +215,18 @@ def solve_pgd(
     project(x - g) - x serves twice: its norm, the fixed-point residual,
     stops the iteration at opts.tolerance and is the report's
     stationarity, and otherwise it is the step-1 trial.  A stall (step
-    below 1e-16 with no decrease) stops it with converged=False.  x is
+    below 1e-16 with no decrease) stops it with converged=False.
+
+    A stationary point with cells strictly inside [-t, t] (by more than
+    the absolute opts.tolerance, as pontryagin_check counts them) is a
+    saddle, not a minimizer: the u-subproblem at fixed t is strictly
+    concave (2 lambda_max(S*S) < 1), so moving each interior cell to
+    -t * sign(g_i), or to +t where g_i = 0, lowers f.  That escape step
+    is taken at fixed t when quadratic_decrease_values confirms the
+    decrease, counts as an iteration, and the descent resumes; when it
+    does not, the point is reported with converged=False, as every
+    report off the vertices is.  PGD so certifies a local minimizer, not
+    the global one (all-plus, for one, is a fixed point).  x is
     kept as a float t and an array u for the array kernels
     gradient_values, project_values and quadratic_decrease_values; a
     non-finite gradient, x - alpha * g or move raises the error of its
@@ -251,6 +258,11 @@ def solve_pgd(
             if quadratic_decrease_values(gt, gu, mt, mu, width) < 0.0:
                 break
             step *= 0.5
+        if residual <= opts.tolerance and steps < opts.max_iterations:
+            inside = _interior(t, u, opts.tolerance)
+            if inside.any():  # a saddle: the escape step, at fixed t
+                tau, v = t, np.where(inside, np.where(gu > 0.0, -t, t), u)
+                done = not quadratic_decrease_values(gt, gu, 0.0, v - u, width) < 0.0
         if done or step < MIN_BACKTRACK_STEP:
             break
         t, u = tau, v

@@ -22,7 +22,6 @@ BETA_CERTIFIED stays the chain's 1/6, which the acceptance criteria read.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import os
 import threading
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConePoint, stationarity_residual
+from .cone import ConePoint, Report, stationarity_residual
 from .grid import GridFunction, Mesh
 from .objective import gradient
 from .operators import _row_dots, _walk_energy, alternating_signs
@@ -101,53 +100,35 @@ def _exact_constant(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class CoercivityReport:
+class CoercivityReport(Report):
     beta_estimate: float
     beta_certified: float
     samples: int
     worst_direction: ConePoint = field(repr=False)
     chain_checks_passed: bool
 
+    KEYS = (
+        "beta_estimate", "beta_exact", "beta_certified", "samples",
+        "worst_direction", "chain_checks_passed",
+    )
+
     @property
     def beta_exact(self) -> float:
         return _exact_constant(self.worst_direction.u.mesh.n)
 
-    def as_dict(self) -> dict:
-        return {
-            "beta_estimate": self.beta_estimate,
-            "beta_exact": self.beta_exact,
-            "beta_certified": self.beta_certified,
-            "samples": self.samples,
-            "worst_direction": self.worst_direction.as_dict(),
-            "chain_checks_passed": self.chain_checks_passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), allow_nan=False)
-
 
 @dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Report):
     delta_estimate: float
     epsilon: float
     samples: int
     worst_point: ConePoint = field(repr=False)
 
+    KEYS = ("delta_estimate", "delta_exact", "epsilon", "samples", "worst_point")
+
     @property
     def delta_exact(self) -> float:
         return _exact_constant(self.worst_point.u.mesh.n)
-
-    def as_dict(self) -> dict:
-        return {
-            "delta_estimate": self.delta_estimate,
-            "delta_exact": self.delta_exact,
-            "epsilon": self.epsilon,
-            "samples": self.samples,
-            "worst_point": self.worst_point.as_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 def _row_blocks(samples: int, rng: np.random.Generator, buffer):

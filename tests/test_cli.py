@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conelab import cli, ssc
+from conelab import CSV_HEADER, cli, ssc
 
 
 def run_cli(*args):
@@ -312,3 +312,36 @@ def test_unconverged_solve_exits_one():
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["converged"] is False
+
+
+def test_every_report_prints_its_keys_in_a_fixed_order(tmp_path, capsys):
+    # the printed order of each report's keys (each command prints its
+    # report's as_dict), nested points included
+    solve = ["minimizer", "objective", "method", "iterations", "stationarity",
+             "pontryagin_residual", "sign_changes", "converged", "tie_count",
+             "tie_count_log2", "nonvertex_cells"]
+    row = ["h", "n", "t_star", "f_star", "norm_Su_sq", "norm_x", "sign_changes",
+           "pontryagin_residual", "stationarity", "prop2_bound", "prop2_ok"]
+    coercivity = ["beta_estimate", "beta_exact", "beta_certified", "samples",
+                  "worst_direction", "chain_checks_passed"]
+    growth = ["delta_estimate", "delta_exact", "epsilon", "samples", "worst_point"]
+    expected = [
+        (["solve", "--method", "brute", "--n", "4", "--h", "0.1"], solve, "minimizer"),
+        (["verify-ssc", "--n", "4", "--samples", "8"], ["stationarity", *coercivity],
+         "worst_direction"),
+        (["growth", "--n", "4", "--samples", "8"], growth, "worst_point"),
+        (["stability", "--n", "4", "--h", "0.1"], [*row, "delta", "slack"], None),
+    ]
+    for argv, keys, point in expected:
+        cli.main(argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == keys, argv[0]
+        if point:
+            assert list(payload[point]) == ["t", "u"], argv[0]
+    assert CSV_HEADER == ",".join(row)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        cli.main(["sweep", "--h-list", "0.1", "--n-list", "4", "--format", fmt, "--out", str(out)])
+        text = out.read_text()
+        keys = text.splitlines()[0].split(",") if fmt == "csv" else list(json.loads(text)[0])
+        assert keys == row, fmt

@@ -17,7 +17,7 @@ from conelab import (
     project,
     stationarity_residual,
 )
-from conelab.cone import project_values
+from conelab.cone import Report, project_values
 from oracles import exact_projection_height, norm_X_sq
 
 
@@ -217,3 +217,18 @@ def test_stationarity_residual_errors():
         stationarity_residual(_point(-1.0, [0.0, 0.0]), g)
     with pytest.raises(ValueError):
         stationarity_residual(ConePoint.apex(Mesh(3)), g)
+
+
+def test_report_prints_its_keys_in_order_with_points_as_plain_data():
+    class Pair(Report):
+        KEYS = ("second", "point", "first")
+        first, second = 1.5, True
+        point = _point(0.5, [0.5, -0.25])
+
+    pair = Pair()
+    text = '{"second": true, "point": {"t": 0.5, "u": [0.5, -0.25]}, "first": 1.5}'
+    assert pair.to_json() == text
+    assert list(pair.as_dict()) == ["second", "point", "first"]
+    pair.first = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        pair.to_json()

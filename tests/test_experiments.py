@@ -24,6 +24,7 @@ from conelab import (
     perturbation_sweep,
     solvers,
     solve_bangbang,
+    solve_bruteforce,
     solve_with_canonical_start,
     stability_report,
     value,
@@ -126,14 +127,17 @@ def test_sweep_preserves_configuration_order():
             assert row == experiments._make_row(h, Mesh(n), report, DELTA_CERTIFIED)
 
 
-def test_sweep_with_projected_gradient_reports_the_interior_point():
-    h = 0.1
-    (row,) = perturbation_sweep(SweepConfig(h_list=[h], n_list=[8], method="pgd"))
-    assert_allclose(row.t_star, h / 2.0, rtol=1e-15)
-    assert_allclose(row.f_star, -h * h / 4.0, rtol=1e-15)
-    assert row.norm_Su_sq == 0.0
-    assert row.sign_changes == 0
-    assert row.stationarity == 0.0
+def test_sweep_with_projected_gradient_reports_a_vertex_local_minimizer():
+    # PGD's canonical start first lands on the saddle (h/2, 0), where
+    # f = -h^2/4, and escapes it to the ray optimum t * (1, sigma) of a
+    # pattern with one sign change: a local minimizer above the global one
+    h, mesh = 0.1, Mesh(8)
+    (row,) = perturbation_sweep(SweepConfig(h_list=[h], n_list=[mesh.n], method="pgd"))
+    assert row.sign_changes == 1
+    assert row.pontryagin_residual == 0.0
+    assert row.stationarity <= 1e-10
+    assert_allclose(row.f_star, -h * h / (2.0 + 4.0 * row.norm_Su_sq / row.t_star**2), rtol=1e-9)
+    assert solve_bruteforce(h, mesh).objective < row.f_star < -h * h / 4.0
     assert row.prop2_ok is True
 
 
@@ -143,7 +147,9 @@ def test_canonical_starts():
     brute = solve_with_canonical_start(1.0, mesh, "brute")
     assert abs(bb.objective - brute.objective) <= 1e-12
     pgd = solve_with_canonical_start(1.0, mesh, "pgd")
-    assert_allclose(pgd.minimizer.t, 0.5, rtol=1e-15)
+    assert pgd.converged and pgd.nonvertex_cells == 0
+    # a local minimizer, below the saddle (1/2, 0) where the first step lands
+    assert brute.objective - 1e-12 <= pgd.objective < -0.25
     with pytest.raises(ValueError):
         solve_with_canonical_start(1.0, mesh, "annealing")
 

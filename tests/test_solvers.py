@@ -694,20 +694,65 @@ def test_pgd_reaches_the_global_minimum_on_two_cells():
     assert abs(report.minimizer.t - 6.0 / 7.0) <= 1e-6
 
 
-def test_pgd_canonical_start_finds_the_degenerate_interior_point():
+def test_pgd_canonical_start_escapes_the_degenerate_interior_point():
     # from (h, 0) the first projected step lands on (h/2, 0), where the
-    # gradient vanishes identically: a legitimate stationary point with
-    # every cell strictly inside the box
+    # gradient vanishes identically: a stationary point with every cell
+    # strictly inside the box, a saddle.  The escape step moves each cell
+    # to +t (g_i = 0) at fixed t, and the descent resumes from there to a
+    # vertex local minimizer
     h, mesh = 1.0, Mesh(4)
-    report = solve_pgd(h, mesh, ConePoint(h, GridFunction.zeros(mesh)))
+    start = ConePoint(h, GridFunction.zeros(mesh))
+    saddle = solve_pgd(h, mesh, start, SolverOptions(max_iterations=1))
+    assert (saddle.iterations, saddle.converged) == (1, False)
+    assert_allclose(saddle.minimizer.t, h / 2.0, rtol=1e-15)
+    assert np.all(saddle.minimizer.u.values == 0.0)
+    assert saddle.stationarity == 0.0
+    assert saddle.pontryagin_residual == 0.0
+    assert saddle.nonvertex_cells == mesh.n
+    escaped = solve_pgd(h, mesh, start, SolverOptions(max_iterations=2))
+    assert (escaped.iterations, escaped.converged) == (2, False)
+    assert escaped.minimizer.t == saddle.minimizer.t
+    assert np.all(escaped.minimizer.u.values == saddle.minimizer.t)
+    assert escaped.objective < saddle.objective
+    report = solve_pgd(h, mesh, start)
     assert report.converged
-    assert report.iterations == 1
-    assert_allclose(report.minimizer.t, h / 2.0, rtol=1e-15)
-    assert np.all(report.minimizer.u.values == 0.0)
-    assert report.stationarity == 0.0
+    assert report.stationarity <= 1e-10
     assert report.pontryagin_residual == 0.0
+    assert report.nonvertex_cells == 0
+    # the ray optimum of (-1, 1, 1, 1), where ||S sigma||^2 = 5/96: a local
+    # minimizer above the global -h^2 / (2 + 4 / 48)
+    assert np.array_equal(np.sign(report.minimizer.u.values), [-1.0, 1.0, 1.0, 1.0])
+    assert_allclose(report.objective, -24.0 / 53.0, rtol=1e-12)
+    assert report.objective > solve_bruteforce(h, mesh).objective
+
+
+def test_pgd_declines_an_escape_whose_decrease_overflows():
+    # at h = 1e150 on 1024 cells the escape step's change overflows, so
+    # the decrease is not confirmed and the saddle is reported unconverged
+    h, mesh = 1e150, Mesh(1024)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solve_with_canonical_start(h, mesh, "pgd")
+    assert (report.iterations, report.converged) == (1, False)
+    assert report.minimizer.t == h / 2.0
     assert report.nonvertex_cells == mesh.n
-    assert report.sign_changes == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 32, 64, 65, 128, 257])
+def test_pgd_converges_only_at_vertex_points(n):
+    # converged means a vertex point that meets the pointwise conditions,
+    # from the canonical start (the saddle's escape) and from random ones
+    mesh = Mesh(n)
+    rng = np.random.default_rng(n)
+    for h in (1e-3, 0.1, 0.5, 1.0, 3.0, 1e3):
+        starts = [project(ConePoint(h, GridFunction.zeros(mesh)))]
+        starts += [random_feasible_point(mesh, rng) for _ in range(5)]
+        for k, start in enumerate(starts):
+            report = solve_pgd(h, mesh, start)
+            if report.converged:
+                assert report.nonvertex_cells == 0, (h, k)
+                assert report.pontryagin_residual == 0.0, (h, k)
+            else:
+                assert k > 0, h  # every canonical start converges
 
 
 def test_pgd_start_validation():
@@ -741,7 +786,8 @@ def _reference_pgd(h, mesh, start, opts):
     The residual's projection project(x - g) and the step-1 trial are
     computed separately, and every backtracking trial evaluates its
     decrease from a fresh gradient at x; the iterate path, the halving
-    rule and the stall floor are those documented for solve_pgd.
+    rule, the stall floor and the escape from a stationary point off the
+    vertices are those documented for solve_pgd.
     """
     x = start
     steps, reached = 0, False
@@ -750,7 +796,22 @@ def _reference_pgd(h, mesh, start, opts):
         target = project(_axpy(x, -1.0, g))
         if norm_X(_axpy(x, -1.0, target)) <= opts.tolerance:
             reached = True
-            break
+            if steps >= opts.max_iterations:
+                break
+            # each cell off both endpoints steps to the endpoint against
+            # its gradient's sign, the upper one where that is zero
+            t, u, gu = x.t, x.u.values, g.u.values
+            inside = [abs(abs(ui) - t) > opts.tolerance for ui in u]
+            corner = [-t if gi > 0.0 else t for gi in gu]
+            escape = ConePoint(t, GridFunction(mesh, np.where(inside, corner, u)))
+            move = _axpy(escape, -1.0, x)
+            if not any(inside) or objective.quadratic_decrease_values(
+                g.t, gu, move.t, move.u.values, mesh.width
+            ) >= 0.0:
+                break
+            x, reached = escape, False
+            steps += 1
+            continue
         if steps >= opts.max_iterations:
             break
         step, accepted = 1.0, None
