@@ -6,8 +6,9 @@ flags.  Identical invocations produce byte-identical output and files.
 
 Exit codes: 0 when the command's success condition holds, 1 when the
 run completed but the condition failed (or an output file could not be
-written), 2 for invalid usage or a report holding a non-finite value,
-which strict JSON cannot carry (nothing is printed on stdout then).
+written), 2 for invalid usage, a report holding a non-finite value,
+which strict JSON cannot carry, or a run out of memory (nothing is
+printed on stdout then).
 
 Each command is declared once, in `_COMMANDS`.  A call builds only the
 parser of the command it names; help and usage errors that concern the
@@ -259,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -155,14 +155,14 @@ def pontryagin_check(p: ConePoint, tol: float = 1e-10) -> PontryaginCheck:
     if not contains(p, tol):
         raise InfeasiblePointError("the check applies to cone points only")
     u = p.u.values
-    g = gradient_values(u, apply_SstarS(p.u).values)
+    return _pontryagin(p.t, u, gradient_values(u, apply_SstarS(p.u).values), tol)
+
+
+def _pontryagin(t: float, u: np.ndarray, g: np.ndarray, tol: float) -> PontryaginCheck:
+    # pontryagin_check of the cone point (t, u), given g = 2 S*S u - u.
     active = np.abs(g) > tol
-    deviation = np.where(
-        active,
-        np.abs(u + p.t * np.sign(g)),
-        np.maximum(np.abs(u) - p.t, 0.0),
-    )
-    nonvertex = int(np.count_nonzero(_interior(p.t, u, tol)))
+    deviation = np.where(active, np.abs(u + t * np.sign(g)), np.maximum(np.abs(u) - t, 0.0))
+    nonvertex = int(np.count_nonzero(_interior(t, u, tol)))
     return PontryaginCheck(residual=float(deviation.max()), nonvertex_cells=nonvertex)
 
 
@@ -176,8 +176,12 @@ def _build_report(
     tie_count: int | None = None,
     stationarity: float | None = None,
 ) -> SolveReport:
-    stat = stationarity_residual(p, gradient(h, p)) if stationarity is None else stationarity
-    check = pontryagin_check(p, opts.tolerance)
+    if stationarity is None:  # one S*S u: the gradient serves both checks
+        g = gradient(h, p)
+        stat = stationarity_residual(p, g)
+        check = _pontryagin(p.t, p.u.values, g.u.values, opts.tolerance)
+    else:
+        stat, check = stationarity, pontryagin_check(p, opts.tolerance)
     return SolveReport(
         minimizer=p,
         objective=value(h, p),
@@ -552,6 +556,18 @@ def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
     return ConePoint(t, GridFunction(mesh, t * signs))
 
 
+def _vertex_report(
+    h: float, method: str, mesh: Mesh, signs: np.ndarray | None, iterations: int,
+    reached: bool, opts: SolverOptions, tie_count: int | None = None,
+) -> SolveReport:
+    # The report of bang-bang or brute settled on signs: its ray optimum,
+    # or at h = 0 that of every pattern, the apex, with no iteration.
+    if h == 0:
+        return _build_report(0.0, method, ConePoint.apex(mesh), 0, True, opts, tie_count)
+    p = _ray_optimum(h, mesh, signs)
+    return _build_report(h, method, p, iterations, reached, opts, tie_count)
+
+
 def solve_bangbang(
     h: float,
     mesh: Mesh,
@@ -585,8 +601,7 @@ def solve_bangbang(
     meshes of the canonical start.
 
     A negative or non-finite h is refused first (check_tilt).  For
-    h = 0 the ray optimum is t = 0 for every pattern, so the apex is
-    returned immediately.
+    h = 0 every ray optimum is the apex, so no sweep is run.
     """
     h = check_tilt(h)
     _check_size(mesh.n)
@@ -594,12 +609,9 @@ def solve_bangbang(
     signs = np.array(start_signs, dtype=float).reshape(-1)
     if signs.shape[0] != mesh.n or not np.all(np.abs(signs) == 1.0):
         raise ValueError("start_signs must be a length-n sequence of +/-1 entries")
-    if h == 0:
-        apex = ConePoint.apex(mesh)
-        return _build_report(0.0, "bangbang", apex, 0, True, opts)
     s = signs.astype(np.int8)
-    sweeps, settled = _descend(s, opts.max_iterations)
-    return _build_report(h, "bangbang", _ray_optimum(h, mesh, s), sweeps, settled, opts)
+    sweeps, settled = _descend(s, opts.max_iterations) if h else (0, True)
+    return _vertex_report(h, "bangbang", mesh, s, sweeps, settled, opts)
 
 
 def solve_bruteforce(
@@ -623,14 +635,8 @@ def solve_bruteforce(
     opts.tolerance.  A negative or non-finite h is refused first.
     """
     h, n = check_tilt(h), mesh.n
-    opts = opts or SolverOptions()
-    if h == 0:
-        # Every ray optimum is t = 0: all 2^n patterns tie at the apex.
-        return _build_report(
-            0.0, "brute", ConePoint.apex(mesh), 0, True, opts, tie_count=2**n
-        )
-    p = _ray_optimum(h, mesh, alternating_signs(n))
-    return _build_report(h, "brute", p, n, True, opts, tie_count=2 ** ((n + 1) // 2))
+    ties, signs = (2 ** ((n + 1) // 2), alternating_signs(n)) if h else (2**n, None)
+    return _vertex_report(h, "brute", mesh, signs, n, True, opts or SolverOptions(), ties)
 
 
 def canonical_reports(
@@ -642,41 +648,35 @@ def canonical_reports(
     """Each method's report from its canonical start, once per (h, n).
 
     Yields (h, n, report) once for each distinct tilt of h_list and size
-    of n_list.  bangbang climbs one bangbang_ladder for every tilt: for
-    h > 0 the ray optimum -h^2 / (2 + 4 m) is best where m is least, so
-    a level serves every tilt and only the ray optimum and the report
-    are built per (h, n); h = 0 gives the apex report and descends
-    nothing.  pgd starts from the projection of (h, 0), and brute needs
-    no start.  Each start depends on n and opts.max_iterations alone, so
-    a report does not depend on what else is listed.  A negative or
-    non-finite tilt, then a size below 1 (as by Mesh), then an unknown
-    method, is refused before any start is built.
+    of n_list, in one loop over levels and, inside, tilts.  bangbang's
+    levels are one bangbang_ladder when some tilt is positive: the ray
+    optimum -h^2 / (2 + 4 m) is best where m is least, so a level serves
+    every tilt.  pgd starts from the projection of (h, 0), and brute
+    needs no start.  Each start depends on n and opts.max_iterations
+    alone, so a report does not depend on what else is listed.  A
+    negative or non-finite tilt, then a size below 1 (as by Mesh), then
+    an unknown method, then a bangbang size past _MAX_N is refused
+    before any start is built.
     """
     opts = opts or SolverOptions()
     tilts, sizes = {check_tilt(h) for h in h_list}, {Mesh(n).n for n in n_list}
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if method != "bangbang":
+    levels = ((n, None, 0, True) for n in sizes)
+    if method == "bangbang":
+        _check_size(max(sizes, default=0))
+        if any(tilts):
+            levels = bangbang_ladder(sizes, opts.max_iterations)
+    for n, signs, sweeps, settled in levels:
+        mesh = Mesh(n)
         for h in tilts:
-            for n in sizes:
-                mesh = Mesh(n)
-                if method == "brute":
-                    yield h, n, solve_bruteforce(h, mesh, opts)
-                else:
-                    start = project(ConePoint(h, GridFunction.zeros(mesh)))
-                    yield h, n, solve_pgd(h, mesh, start, opts)
-        return
-    if 0.0 in tilts:
-        tilts.remove(0.0)
-        for n in sizes:
-            apex = ConePoint.apex(Mesh(n))
-            yield 0.0, n, _build_report(0.0, "bangbang", apex, 0, True, opts)
-    if tilts:
-        for n, signs, sweeps, settled in bangbang_ladder(sizes, opts.max_iterations):
-            mesh = Mesh(n)
-            for h in tilts:
-                p = _ray_optimum(h, mesh, signs)
-                yield h, n, _build_report(h, "bangbang", p, sweeps, settled, opts)
+            if method == "bangbang":
+                yield h, n, _vertex_report(h, method, mesh, signs, sweeps, settled, opts)
+            elif method == "brute":
+                yield h, n, solve_bruteforce(h, mesh, opts)
+            else:
+                start = project(ConePoint(h, GridFunction.zeros(mesh)))
+                yield h, n, solve_pgd(h, mesh, start, opts)
 
 
 def solve_with_canonical_start(

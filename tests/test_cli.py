@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface, mostly via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -303,6 +304,41 @@ def test_unwritable_output_exits_one():
     )
     assert result.returncode == 1
     assert "no-such-directory" in result.stderr
+
+
+def test_out_of_memory_exits_two_with_nothing_on_stdout(tmp_path):
+    # under a 1.5 GiB address-space limit the first array of 3e8 cells
+    # (2.24 GiB) cannot be allocated: each command reports that on one
+    # stderr line, prints nothing and writes no file
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("the platform has no address-space limit")
+    limit = 3 * 2**29
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = tmp_path / "rows.csv"
+    n = "300000000"
+    for argv in (
+        ["solve", "--method", "brute", "--n", n, "--h", "0.1"],
+        ["verify-ssc", "--n", n, "--samples", "2"],
+        ["sweep", "--method", "brute", "--n-list", n, "--h-list", "0.1", "--out", str(out)],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "conelab", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap,
+            timeout=120,
+        )
+        assert result.returncode == 2, (argv, result.stderr)
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: out of memory: ")
+        assert result.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unconverged_solve_exits_one():

@@ -29,6 +29,7 @@ from conelab import (
     Mesh,
     MeshMismatchError,
     SolverOptions,
+    SweepConfig,
     all_plus_signs,
     alternating_signs,
     contains,
@@ -37,6 +38,7 @@ from conelab import (
     norm_X,
     objective,
     operators,
+    perturbation_sweep,
     pontryagin_check,
     project,
     solve_bangbang,
@@ -565,6 +567,54 @@ def test_bangbang_refuses_sizes_past_the_int64_bound(monkeypatch):
         solve_bangbang(0.1, Mesh(101), all_plus_signs(101))
     with pytest.raises(ValueError, match="at most 100 cells"):
         list(solvers.bangbang_ladder([101], 100))
+
+
+def test_bangbang_refuses_sizes_past_the_int64_bound_at_every_tilt(monkeypatch):
+    # the apex of h = 0 descends nothing, yet bang-bang refuses a size
+    # past the bound there too, on every path, before any report; the
+    # bound is lowered to 64 cells, as the real one would need gigabytes
+    monkeypatch.setattr(solvers, "_MAX_N", 64)
+    mesh = Mesh(65)
+    calls = [
+        lambda: solve_bangbang(0.0, mesh, all_plus_signs(65)),
+        lambda: solve_with_canonical_start(0.0, mesh, "bangbang"),
+        lambda: solve_with_canonical_start(-0.0, mesh, "bangbang"),
+        lambda: perturbation_sweep(SweepConfig((0.0,), (64, 65), "bangbang")),
+        lambda: perturbation_sweep(SweepConfig((0.0, 0.1), (65, 1), "bangbang")),
+        lambda: list(solvers.canonical_reports((0.0,), (1, 65), "bangbang")),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at most 64 cells"):
+            call()
+    assert solve_with_canonical_start(0.0, Mesh(64), "bangbang").converged
+    # the bound is bang-bang's alone
+    for method in ("pgd", "brute"):
+        rows = perturbation_sweep(SweepConfig((0.0,), (65,), method))
+        assert [(row.n, row.t_star) for row in rows] == [(65, 0.0)]
+
+
+def test_each_vertex_report_applies_SstarS_once(monkeypatch):
+    # the gradient that the report's stationarity reads also serves its
+    # Pontryagin check: one K6 u per report, at the apex and off it
+    calls = []
+
+    def counted(u):
+        calls.append(u.size)
+        return _k6_times(u)
+
+    monkeypatch.setattr(operators, "_k6_times", counted)
+    for n in (1, 2, 8, 65, 257):
+        mesh = Mesh(n)
+        for h in (0.0, 0.1, 1.0):
+            solves = [
+                lambda: solve_bangbang(h, mesh, all_plus_signs(n)),
+                lambda: solve_bruteforce(h, mesh),
+                lambda: solve_with_canonical_start(h, mesh, "bangbang"),
+            ]
+            for solve in solves:
+                calls.clear()
+                report = solve()
+                assert calls == [n], (report.method, n, h)
 
 
 def test_bangbang_leaves_its_start_untouched():
