@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, Mesh
+from .grid import GridFunction, Mesh, _row_dots
 
 
 class InfeasiblePointError(ValueError):
@@ -80,14 +80,14 @@ def norm_X_values(t: float, u: np.ndarray, width: float) -> float:
     the apex), (t, u) is first divided by m = max(|t|, |u_i|) and the
     norm multiplied back by m.
     """
-    s = t * t + width * float(np.dot(u, u))
+    s = t * t + width * float(_row_dots(u, u))
     if _TINY <= s < np.inf:
         return float(np.sqrt(s))
     m = max(abs(t), float(np.abs(u).max()))
     if not 0.0 < m < np.inf:
         return float(np.sqrt(s))
     t, u = t / m, u / m
-    return m * float(np.sqrt(t * t + width * float(np.dot(u, u))))
+    return m * float(np.sqrt(t * t + width * float(_row_dots(u, u))))
 
 
 def norm_X(p: ConePoint) -> float:

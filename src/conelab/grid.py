@@ -8,7 +8,8 @@ uniform mesh with n cells of width 1/n:
     0      1/n     2/n   (n-1)/n  1
 
 Inner products carry the cell width, so l2_inner agrees with the exact
-L^2 pairing of the represented step functions.
+L^2 pairing of the represented step functions.  Every sum of products
+behind a printed number is _row_dots, in one fixed order.
 """
 
 from __future__ import annotations
@@ -78,12 +79,26 @@ def _check_same_mesh(u: GridFunction, v: GridFunction) -> None:
         )
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Dot products of matching rows along the last axis, in a fixed order.
+
+    A single row is numpy's pairwise sum of the products (np.add.reduce),
+    whose order depends on the row's length only, not on the BLAS kernel
+    picked at run time, and whose error grows as log n; a stack of rows
+    goes to einsum, one dot per row and no product array, written to out
+    if it is given.
+    """
+    if x.ndim == 1:
+        return np.add.reduce(x * y)
+    return np.einsum("...i,...i->...", x, y, out=out)
+
+
 def l2_inner(u: GridFunction, v: GridFunction) -> float:
     """Exact L^2(0,1) inner product of two step functions on one mesh."""
     _check_same_mesh(u, v)
-    return u.mesh.width * float(np.dot(u.values, v.values))
+    return u.mesh.width * float(_row_dots(u.values, v.values))
 
 
 def l2_norm_sq(u: GridFunction) -> float:
     """Exact squared L^2 norm, width * sum(u_i^2)."""
-    return u.mesh.width * float(np.dot(u.values, u.values))
+    return u.mesh.width * float(_row_dots(u.values, u.values))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cone import ConePoint
-from .grid import GridFunction, l2_norm_sq
-from .operators import _walk_energy, apply_SstarS, norm_S_sq
+from .grid import GridFunction, _row_dots
+from .operators import _walk_energy, apply_SstarS
 
 
 def check_tilt(h: float) -> float:
@@ -21,10 +21,20 @@ def check_tilt(h: float) -> float:
     return float(h) + 0.0  # -0.0 + 0.0 is +0.0
 
 
+def _half_form(t: float, u: np.ndarray, width: float) -> float:
+    """t^2 + ||S u||^2 - (1/2) ||u||^2 on bare values: f_0, half of f''.
+
+    One sum of squares serves both norms: it is ||u||^2 / width and the
+    squares term of the walk energy (operators._walk_energy).
+    """
+    squares = _row_dots(u, u)
+    energy = float(width**3 / 3.0 * _walk_energy(np.cumsum(u), squares))
+    return t * t + energy - 0.5 * (width * float(squares))
+
+
 def value(h: float, p: ConePoint) -> float:
     """f_h at p."""
-    h = check_tilt(h)
-    return p.t * p.t + norm_S_sq(p.u) - 0.5 * l2_norm_sq(p.u) - h * p.t
+    return _half_form(p.t, p.u.values, p.mesh.width) - check_tilt(h) * p.t
 
 
 def gradient_values(u: np.ndarray, SstarS_u: np.ndarray) -> np.ndarray:
@@ -43,7 +53,7 @@ def gradient(h: float, p: ConePoint) -> ConePoint:
 
 def hessian_form(d: ConePoint) -> float:
     """The quadratic form f''(d, d) = 2 t^2 + 2 ||S u||^2 - ||u||^2."""
-    return 2.0 * d.t * d.t + 2.0 * norm_S_sq(d.u) - l2_norm_sq(d.u)
+    return 2.0 * _half_form(d.t, d.u.values, d.mesh.width)
 
 
 def quadratic_decrease_values(
@@ -52,16 +62,12 @@ def quadratic_decrease_values(
     """Exact change f_h(p + step) - f_h(p) from the gradient g at p.
 
     g = (gt, gu) is gradient(h, p) and step = (st, su), as bare values.
-    The objective is quadratic, so the change equals
-    <g, step> + step_t^2 + ||S step_u||^2 - (1/2)||step_u||^2
-    identically.  Evaluating it this way avoids the cancellation that
-    makes the difference of two nearly equal objective values unusable
-    near a stationary point.  Taking g from the caller lets solve_pgd
-    reuse one gradient for every backtracking trial.
+    The objective is quadratic, so the change equals the pairing plus
+    the step's _half_form, <g, step> + step_t^2 + ||S step_u||^2 -
+    (1/2)||step_u||^2, identically.  Evaluating it this way avoids the
+    cancellation that makes the difference of two nearly equal objective
+    values unusable near a stationary point.  Taking g from the caller
+    lets solve_pgd reuse one gradient for every backtracking trial.
     """
-    inner = gt * st + width * float(np.dot(gu, su))
-    # norm_S_sq(step_u); its sum of squares is ||step_u||^2 / width too
-    squares = np.dot(su, su)
-    energy = float(width**3 / 3.0 * _walk_energy(np.cumsum(su), squares))
-    return inner + st * st + energy - 0.5 * (width * float(squares))
+    return gt * st + width * float(_row_dots(gu, su)) + _half_form(st, su, width)
 

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, Mesh
+from .grid import GridFunction, Mesh, _row_dots
 
 
 def walk_energy(values: np.ndarray) -> np.ndarray:
@@ -45,8 +45,9 @@ def walk_energy(values: np.ndarray) -> np.ndarray:
     an exact integer result: 3 ||S sigma||^2 / width^3 for a sign
     pattern sigma.  With b = a + u the cell term is 3ab + u^2, so the
     sum is 3 sum_k P_{k-1} P_k + sum_k u_k^2 over the prefix sums P:
-    one cumsum and two row dots (_row_dots), with no product arrays;
-    _walk_energy finishes the sum for a caller that holds both already.
+    one cumsum and two row dots (grid._row_dots), with no product array
+    for a stack of rows; _walk_energy finishes the sum for a caller that
+    holds both already.
 
     Step-cost lemma: a +/-1 step from height a to b costs a^2 + ab + b^2
     = |b^3 - a^3| >= 1, with equality iff it joins 0 and +/-1; reaching
@@ -79,18 +80,6 @@ def _walk_energy(P: np.ndarray, squares: np.ndarray, out=None) -> np.ndarray:
     energy *= 3
     energy += squares
     return energy
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Dot products of matching rows along the last axis.
-
-    A single row goes to np.dot, the BLAS dot the solvers already use;
-    a stack of rows to einsum, one dot per row and no product array,
-    written to out if it is given.
-    """
-    if x.ndim == 1:
-        return np.dot(x, y)
-    return np.einsum("...i,...i->...", x, y, out=out)
 
 
 def norm_S_sq(u: GridFunction) -> float:

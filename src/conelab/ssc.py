@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import ConePoint, Report, stationarity_residual
-from .grid import GridFunction, Mesh
+from .grid import GridFunction, Mesh, _row_dots
 from .objective import gradient
-from .operators import _row_dots, _walk_energy, alternating_signs
+from .operators import _walk_energy, alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5

@@ -1,0 +1,50 @@
+"""tests/diffrun.py on a short case list: two copies of one tree give no
+difference, and a planted change in one printed field is reported under
+its command and field."""
+
+from __future__ import annotations
+
+import shutil
+from pathlib import Path
+
+import diffrun
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CASES = [
+    ["solve", "--method", "brute", "--n", "8", "--h", "0.1"],
+    ["sweep", "--method", "bangbang", "--h-list", "0.1,1", "--n-list", "3,8",
+     "--format", "csv", "--out", "rows.csv"],
+    ["sweep", "--method", "brute", "--h-list", "0.1", "--n-list", "8",
+     "--out", "missing/rows.csv"],
+    ["verify-ssc", "--n", "8", "--samples", "100", "--seed", "1"],
+    ["growth", "--n", "8", "--samples", "100", "--seed", "1"],
+]
+
+
+def _copy(tmp_path: Path, name: str) -> Path:
+    tree = tmp_path / name
+    shutil.copytree(SRC, tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def test_two_copies_of_one_tree_give_no_difference(tmp_path):
+    result = diffrun.compare(_copy(tmp_path, "a"), _copy(tmp_path, "b"), CASES)
+    assert result["groups"] == {}
+    assert result["summary"] == (
+        "diffrun: 0 of 5 cases differ (0 in exit code, 0 command/field groups)"
+    )
+
+
+def test_a_planted_one_byte_change_is_reported_by_field(tmp_path):
+    parent, child = _copy(tmp_path, "a"), _copy(tmp_path, "b")
+    ssc = child / "src" / "conelab" / "ssc.py"
+    text = ssc.read_text()
+    assert text.count("(3 * n * n + 2) / (6 * n * n)") == 1
+    ssc.write_text(text.replace("(3 * n * n + 2) / (6 * n * n)", "(3 * n * n + 3) / (6 * n * n)"))
+    result = diffrun.compare(parent, child, CASES)
+    assert result["groups"] == {
+        ("verify-ssc", "beta_exact"): [CASES[3]],
+        ("growth", "delta_exact"): [CASES[4]],
+    }
+    assert result["summary"].startswith("diffrun: 2 of 5 cases differ (0 in exit code")
