@@ -120,7 +120,9 @@ class SolveReport(Report):
         """
         out = super().as_dict()
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if self.tie_count is not None and limit and self.tie_count >= 10**limit:
+        ties = self.tie_count
+        # every count below 2^(3 limit) < 10^limit fits, so 10^limit is formed only above
+        if ties is not None and limit and ties.bit_length() > 3 * limit and ties >= 10**limit:
             out["tie_count"] = None
         return out
 
@@ -170,27 +172,25 @@ def _build_report(
     h: float,
     method: str,
     p: ConePoint,
+    gu: np.ndarray,
+    stationarity: float,
     iterations: int,
     reached: bool,
     opts: SolverOptions,
     tie_count: int | None = None,
-    stationarity: float | None = None,
 ) -> SolveReport:
-    if stationarity is None:  # one S*S u: the gradient serves both checks
-        g = gradient(h, p)
-        stat = stationarity_residual(p, g)
-        check = _pontryagin(p.t, p.u.values, g.u.values, opts.tolerance)
-    else:
-        stat, check = stationarity, pontryagin_check(p, opts.tolerance)
+    # The report at p from the solver's own u-gradient gu = 2 S*S u - u
+    # and stationarity residual there: the one S*S u serves both checks.
+    check = _pontryagin(p.t, p.u.values, gu, opts.tolerance)
     return SolveReport(
         minimizer=p,
         objective=value(h, p),
         method=method,
         iterations=iterations,
-        stationarity=stat,
+        stationarity=stationarity,
         pontryagin_residual=check.residual,
         sign_changes=count_sign_changes(p.u.values),
-        converged=bool(reached and stat <= opts.tolerance and not check.nonvertex_cells),
+        converged=bool(reached and stationarity <= opts.tolerance and not check.nonvertex_cells),
         tie_count=tie_count,
         nonvertex_cells=check.nonvertex_cells,
     )
@@ -273,7 +273,7 @@ def solve_pgd(
         steps += 1
     x = ConePoint(t, GridFunction(mesh, u))
     reached = residual <= opts.tolerance
-    return _build_report(h, "pgd", x, steps, reached, opts, stationarity=residual)
+    return _build_report(h, "pgd", x, gu, residual, steps, reached, opts)
 
 
 # Every integer a pass forms has magnitude below 18 n^2 (see _descend),
@@ -561,11 +561,15 @@ def _vertex_report(
     reached: bool, opts: SolverOptions, tie_count: int | None = None,
 ) -> SolveReport:
     # The report of bang-bang or brute settled on signs: its ray optimum,
-    # or at h = 0 that of every pattern, the apex, with no iteration.
+    # or at h = 0 that of every pattern, the apex, with no iteration,
+    # fed the gradient and residual taken once there.
     if h == 0:
-        return _build_report(0.0, method, ConePoint.apex(mesh), 0, True, opts, tie_count)
-    p = _ray_optimum(h, mesh, signs)
-    return _build_report(h, method, p, iterations, reached, opts, tie_count)
+        p, iterations, reached = ConePoint.apex(mesh), 0, True
+    else:
+        p = _ray_optimum(h, mesh, signs)
+    g = gradient(h, p)
+    stat = stationarity_residual(p, g)
+    return _build_report(h, method, p, g.u.values, stat, iterations, reached, opts, tie_count)
 
 
 def solve_bangbang(

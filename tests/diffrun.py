@@ -15,11 +15,16 @@ The two runs are then compared case by case.  A report or a written JSON
 or CSV file is compared field by field (a sweep row's fields by name,
 over all its rows), so the output lists each differing case under its
 command and the fields that moved, and ends with one summary line.  The
-exit status is 0 when no case differs and 1 otherwise.
+exit status is 0 when no case differs, 1 when some case does, and 2 when
+a checkout's run fails.
 
 Both checkouts run under the same environment, so the same BLAS kernel
-and the same CPU count; `verify-ssc` and `growth` run with their default
-worker count only.
+and the same CPU count.  Each `verify-ssc` and `growth` case also runs
+with `conelab.ssc._workers` patched to each count of WORKERS: in each
+checkout the run with one worker is the case's reference, the one
+compared across checkouts, and every other run (2, 8 and the unpatched
+default) must match it.  A field that moves there is reported as
+"workers=W: field", prefixed "parent " in the parent checkout.
 """
 
 from __future__ import annotations
@@ -38,10 +43,16 @@ import tempfile
 import warnings
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 METHODS = ("pgd", "bangbang", "brute")
 SIZES = (1, 2, 3, 8, 64, 65, 1000, 4097, 65536)
 TILTS = ("0", "0.1", "0.3", "1", "1e-13", "1e150", "1e200")
+# tilts whose optimum or objective sits at the ends of the float range
+TRAP_TILTS = ("1e308", "1.7e308", "5e-324")
+SSC_COMMANDS = ("verify-ssc", "growth")
+# the worker counts an SSC case runs with; None leaves _workers unpatched
+WORKERS = (1, 2, 8, None)
 
 
 def _grid() -> list[list[str]]:
@@ -52,6 +63,16 @@ def _grid() -> list[list[str]]:
         for h in TILTS
     ]
     cases += [["stability", "--n", str(n), "--h", h] for n in (1, 8, 1000, 65536) for h in TILTS]
+    for n in (1, 8, 1000):
+        for h in TRAP_TILTS:
+            cases += [["solve", "--method", method, "--n", str(n), "--h", h] for method in METHODS]
+            cases.append(["stability", "--n", str(n), "--h", h])
+    cases += [
+        ["solve", "--method", method, "--n", str(n), "--h", "0.3", *controls]
+        for method in METHODS
+        for n in (8, 64)
+        for controls in (["--tol", "1e-20"], ["--max-iter", "1"], ["--max-iter", "3", "--tol", "1e-3"])
+    ]
     cases += [
         ["sweep", "--method", method, "--h-list", "0,0.1,1", "--n-list", "1,8,65,4097",
          "--format", fmt, "--out", f"rows.{fmt}"]
@@ -61,7 +82,7 @@ def _grid() -> list[list[str]]:
     # a write that fails names the sweep's temporary file
     cases.append(["sweep", "--method", "brute", "--h-list", "0.1", "--n-list", "8",
                   "--out", "missing/rows.csv"])
-    for command in ("verify-ssc", "growth"):
+    for command in SSC_COMMANDS:
         cases += [
             [command, "--n", str(n), "--samples", str(samples), "--seed", "1"]
             for n, samples in ((1, 1000), (8, 1000), (2048, 1000), (8193, 64))
@@ -79,13 +100,14 @@ def _fixed(text: str, workdir: str, tree: str) -> str:
     return _TEMP_NAME.sub("<tempfile>", text)
 
 
-def _run_case(argv: list[str], workdir: Path, tree: Path) -> dict:
-    from conelab import cli
+def _run_case(argv: list[str], workdir: Path, tree: Path, workers: int | None) -> dict:
+    from conelab import cli, ssc
 
-    workdir.mkdir()
+    workdir.mkdir(parents=True)
     os.chdir(workdir)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
+    count = (lambda n, samples: workers) if workers else ssc._workers
+    with mock.patch.object(ssc, "_workers", count), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -109,6 +131,21 @@ def _run_case(argv: list[str], workdir: Path, tree: Path) -> dict:
     }
 
 
+def _label(workers: int | None) -> str:
+    return "default" if workers is None else str(workers)
+
+
+def _run(argv: list[str], workdir: Path, tree: Path) -> dict:
+    # a case's result; an SSC case's is its run with WORKERS[0], which
+    # holds its runs with the other counts under "workers", by _label
+    if argv[0] not in SSC_COMMANDS:
+        return _run_case(argv, workdir, tree, None)
+    first, *others = WORKERS
+    result = _run_case(argv, workdir / _label(first), tree, first)
+    result["workers"] = {_label(w): _run_case(argv, workdir / _label(w), tree, w) for w in others}
+    return result
+
+
 def _worker() -> None:
     # in the child: read the tree and the cases from stdin, print the results
     job = json.load(sys.stdin)
@@ -119,7 +156,7 @@ def _worker() -> None:
         raise SystemExit(f"conelab was imported from {conelab.__file__}, not {tree}")
     root = Path(tempfile.mkdtemp(prefix="diffrun-"))
     try:
-        results = [_run_case(argv, root / f"case{i}", tree) for i, argv in enumerate(job["cases"])]
+        results = [_run(argv, root / f"case{i}", tree) for i, argv in enumerate(job["cases"])]
     finally:
         os.chdir(tree)
         shutil.rmtree(root)
@@ -129,7 +166,9 @@ def _worker() -> None:
 def run_tree(tree: Path, cases: list[list[str]], env: dict | None = None) -> list[dict]:
     """The results of cases on the checkout at tree, run in a child process.
 
-    The child inherits this process's environment, with env added.
+    An SSC case's result is its run with one worker, and holds its runs
+    with the other counts of WORKERS under "workers".  The child
+    inherits this process's environment, with env added.
     """
     tree = Path(tree).resolve()
     env = dict(os.environ, **(env or {}), PYTHONPATH=str(tree / "src"))
@@ -186,6 +225,15 @@ def _field_diff(old: str, new: str, kind: str, whole: str, prefix: str = "") -> 
     return [f"{prefix}{p}" for p in moved] or [whole]
 
 
+def _workers_diff(result: dict, prefix: str) -> list[str]:
+    # what moves from a case's result to its runs with other worker counts
+    return [
+        f"{prefix}workers={label}: {field}"
+        for label, run in result.get("workers", {}).items()
+        for field in case_diff(result, run)
+    ]
+
+
 def case_diff(old: dict, new: dict) -> list[str]:
     """What differs between two results of one case: exit, stderr, fields."""
     moved = []
@@ -217,7 +265,7 @@ def compare(parent: Path, child: Path, cases: list[list[str]] = CASES) -> dict:
     groups = defaultdict(list)
     differing = 0
     for argv, a, b in zip(cases, old, new):
-        moved = case_diff(a, b)
+        moved = case_diff(a, b) + _workers_diff(b, "") + _workers_diff(a, "parent ")
         differing += bool(moved)
         for field in moved:
             groups[command_of(argv), field].append(argv)
@@ -234,7 +282,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tests/diffrun.py PARENT CHILD", file=sys.stderr)
         return 2
-    result = compare(Path(argv[0]), Path(argv[1]))
+    try:
+        result = compare(Path(argv[0]), Path(argv[1]))
+    except RuntimeError as error:
+        print(error, file=sys.stderr)
+        return 2
     for (command, field), cases in sorted(result["groups"].items()):
         print(f"{command}: {field}: {len(cases)} cases")
         for case in cases:

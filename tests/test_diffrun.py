@@ -1,6 +1,7 @@
 """tests/diffrun.py on a short case list: two copies of one tree give no
-difference, and a planted change in one printed field is reported under
-its command and field."""
+difference, a planted change in one printed field is reported under its
+command and field, one that depends on the worker count under the counts
+that show it, and a checkout that cannot run exits 2."""
 
 from __future__ import annotations
 
@@ -48,3 +49,29 @@ def test_a_planted_one_byte_change_is_reported_by_field(tmp_path):
         ("growth", "delta_exact"): [CASES[4]],
     }
     assert result["summary"].startswith("diffrun: 2 of 5 cases differ (0 in exit code")
+
+
+def test_a_planted_worker_dependence_is_reported_by_worker_count(tmp_path):
+    # growth's radius draw skips one extra number per row range past the
+    # first: the reference (one worker) and the unpatched count on 800
+    # cells (one range) keep their output, 2 and 8 ranges move it
+    parent, child = _copy(tmp_path, "a"), _copy(tmp_path, "b")
+    ssc = child / "src" / "conelab" / "ssc.py"
+    text = ssc.read_text()
+    draws = "rng.bit_generator.advance(samples * n)"
+    assert text.count(draws) == 1
+    ssc.write_text(text.replace(draws, "rng.bit_generator.advance(samples * n + len(results) - 2)"))
+    result = diffrun.compare(parent, child, CASES)
+    assert result["groups"] == {
+        ("growth", f"workers={w}: worst_point.{key}"): [CASES[4]]
+        for w in (2, 8)
+        for key in ("t", "u")
+    }
+    assert result["summary"].startswith("diffrun: 1 of 5 cases differ (0 in exit code")
+
+
+def test_a_checkout_that_cannot_run_exits_two(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    (empty / "src").mkdir(parents=True)
+    assert diffrun.main([str(empty), str(_copy(tmp_path, "b"))]) == 2
+    assert "failed" in capsys.readouterr().err

@@ -46,11 +46,21 @@ from conelab import (
     solve_pgd,
     solve_with_canonical_start,
     solvers,
+    stationarity_residual,
     value,
 )
 from conelab.operators import _k6_times, walk_energy
 import oracles
 from oracles import pontryagin_residual, random_feasible_point
+
+
+def _report(h, method, p, iterations, reached, opts, tie_count=None):
+    # the report at p from a gradient and residual taken afresh there
+    g = gradient(h, p)
+    stat = stationarity_residual(p, g)
+    return solvers._build_report(
+        h, method, p, g.u.values, stat, iterations, reached, opts, tie_count
+    )
 
 
 def _exact_gram(n):
@@ -210,9 +220,7 @@ def _reference_bruteforce(h, mesh):
         signs[k] = 1 if up[a - 1] + togo[k + 1, a + 1] == togo[k, a] else -1
         a += int(signs[k])
     p = solvers._ray_optimum(h, mesh, signs)
-    return solvers._build_report(
-        h, "brute", p, n, True, SolverOptions(), tie_count=int(ways[r + 1])
-    )
+    return _report(h, "brute", p, n, True, SolverOptions(), tie_count=int(ways[r + 1]))
 
 
 def test_bruteforce_matches_the_wide_band_reference():
@@ -323,7 +331,7 @@ def _reference_bangbang(h, mesh, start, opts):
             settled = True
             break
     p = solvers._ray_optimum(h, mesh, s.astype(float))
-    return solvers._build_report(h, "bangbang", p, sweeps, settled, opts)
+    return _report(h, "bangbang", p, sweeps, settled, opts)
 
 
 def test_bangbang_matches_the_k6_vector_reference():
@@ -882,7 +890,7 @@ def _reference_pgd(h, mesh, start, opts):
             break
         x = accepted
         steps += 1
-    return solvers._build_report(h, "pgd", x, steps, reached, opts)
+    return _report(h, "pgd", x, steps, reached, opts)
 
 
 def test_pgd_matches_the_two_projection_reference():
@@ -944,9 +952,9 @@ def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatc
             report = solve_pgd(0.1, mesh, start, opts)
             assert report.converged or report.iterations == cap
             assert report.iterations >= 1
-            # one gradient per loop pass (iterations + 1) and one S*S u
-            # in the report's pontryagin_check
-            assert counts["k6"] == report.iterations + 2
+            # one gradient per loop pass (iterations + 1), the last of
+            # which also serves the report
+            assert counts["k6"] == report.iterations + 1
             # one unit-step projection per pass (iterations + 1) plus one
             # per halving, and each halving follows a rejected trial
             assert counts["project"] == counts["quadratic_decrease"] + 1
@@ -967,9 +975,9 @@ def test_pgd_builds_a_fixed_number_of_objects_per_solve(monkeypatch):
         built.update({cls: 0 for cls in built})
         report = solve_pgd(0.1, mesh, start, SolverOptions(max_iterations=cap))
         seen[report.iterations] = (built[GridFunction], built[ConePoint])
-    # the minimizer and the report's S*S u, whatever the iteration count
+    # the minimizer alone, whatever the iteration count
     assert len(seen) >= 3
-    assert set(seen.values()) == {(2, 1)}
+    assert set(seen.values()) == {(1, 1)}
 
 
 def test_pgd_refuses_non_finite_values():
@@ -1141,6 +1149,9 @@ def test_report_tie_count_past_the_int_string_limit():
     digits = sys.get_int_max_str_digits()
     fits = dataclasses.replace(report, tie_count=10**digits - 1).as_dict()
     assert fits["tie_count"] == 10**digits - 1
+    # 2^(3 digits), the least count past the cheap bit-length test, prints
+    least = 2 ** (3 * digits)
+    assert json.loads(dataclasses.replace(report, tie_count=least).to_json())["tie_count"] == least
     too_long = json.loads(dataclasses.replace(report, tie_count=10**digits).to_json())
     assert too_long["tie_count"] is None
     assert too_long["tie_count_log2"] == pytest.approx(digits * math.log2(10))
