@@ -1,6 +1,6 @@
 """Minimizers of f_h over the cone, by three independent routes.
 
-* solve_pgd: projected gradient descent with backtracking.
+* solve_pgd: projected gradient descent with backtracking and a face step.
 * solve_bangbang: descent on vertex sign patterns.  For fixed t the
   u-subproblem minimizes the concave quadratic ||S u||^2 - ||u||^2 / 2
   over the box [-t, t]^n (concave because 2 lambda_max(S*S) < 1, with
@@ -50,7 +50,7 @@ from .cone import (
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
 from .objective import check_tilt, gradient, gradient_values, quadratic_decrease_values, value
-from .operators import SstarS_values, alternating_signs, apply_SstarS, norm_S_sq
+from .operators import SstarS_values, alternating_signs, apply_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
 METHODS = ("pgd", "bangbang", "brute")
@@ -208,6 +208,28 @@ def _check_finite(mesh: Mesh, t: float, u: np.ndarray) -> None:
         ConePoint(t, GridFunction(mesh, u))
 
 
+def _ray_point(h: float, signs: np.ndarray, width: float) -> tuple[float, np.ndarray]:
+    # The ray optimum t * (1, sigma) of the float signs sigma as bare
+    # values, with ||S sigma||^2 taken as norm_S_sq takes it.
+    t = h / (1.0 + 2.0 * float(width**3 / 3.0 * walk_energy(signs)))
+    return t, t * signs
+
+
+def _face_step(
+    h: float, t: float, u: np.ndarray, gt: float, gu: np.ndarray, width: float, tol: float
+) -> tuple | None:
+    # solve_pgd's trial of the ray optimum r of (t, u): r, its gradient and
+    # unit-step residual if kept, else None; an overflow declines it silently.
+    rt, ru = _ray_point(h, np.sign(u), width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not quadratic_decrease_values(gt, gu, rt - t, ru - u, width) <= 0.0:
+            return None
+        rgt, rgu = 2.0 * rt - h, gradient_values(ru, SstarS_values(ru, width))
+        tau, v = project_values(rt - rgt, ru - rgu, width)
+        residual = norm_X_values(tau - rt, v - ru, width)
+    return (rt, ru, rgt, rgu, residual) if residual <= tol else None
+
+
 def solve_pgd(
     h: float, mesh: Mesh, start: ConePoint, opts: SolverOptions | None = None
 ) -> SolveReport:
@@ -230,8 +252,20 @@ def solve_pgd(
     decrease, counts as an iteration, and the descent resumes; when it
     does not, the point is reported with converged=False, as every
     report off the vertices is.  PGD so certifies a local minimizer, not
-    the global one (all-plus, for one, is a fixed point).  x is
-    kept as a float t and an array u for the array kernels
+    the global one (all-plus, for one, is a fixed point).
+
+    On an identified face PGD only halves its residual along one ray
+    (Calamai and More 1987); the exact minimization there (More and
+    Toraldo 1991) is the ray optimum r of sigma = sign(u), as bang-bang
+    and brute report it.  When two passes in a row (the rule of their
+    GPCG) find x at a vertex (t > 0, |u_i| = t) and its unit-step
+    candidate at a vertex of the same face, r is tried once per sigma.
+    It is kept, as the last iteration, only if f does not rise and r's
+    own unit-step residual is within opts.tolerance; else nothing is
+    counted, since the closed form's float residual can miss a tolerance
+    the iterates meet (about 1e134 at h = 1e150, where theirs reaches 0).
+
+    x is kept as a float t and an array u for the array kernels
     gradient_values, project_values and quadratic_decrease_values; a
     non-finite gradient, x - alpha * g or move raises the error of its
     ConePoint.
@@ -243,7 +277,7 @@ def solve_pgd(
         raise InfeasiblePointError("solve_pgd requires a feasible start")
     h, width = check_tilt(h), mesh.width
     t, u = start.t, start.u.values
-    steps = 0
+    steps, face, tried = 0, None, set()
     while True:
         gt, gu = 2.0 * t - h, gradient_values(u, SstarS_values(u, width))
         _check_finite(mesh, gt, gu)
@@ -257,6 +291,17 @@ def solve_pgd(
             if step == 1.0:
                 residual = norm_X_values(mt, mu, width)
                 done = residual <= opts.tolerance or steps >= opts.max_iterations
+                # the face step: x and its candidate at vertices of one face
+                vertex = not done and t > 0.0 and tau > 0.0 and np.all(np.abs(u) == t)
+                on_face = vertex and np.array_equal(v, np.copysign(tau, u))
+                key = np.signbit(u).tobytes() if on_face else None
+                if key is not None and key == face and key not in tried:
+                    tried.add(key)
+                    trial = _face_step(h, t, u, gt, gu, width, opts.tolerance)
+                    if trial:
+                        (t, u, gt, gu, residual), done = trial, True
+                        steps += 1
+                face = key
                 if done:
                     break
             if quadratic_decrease_values(gt, gu, mt, mu, width) < 0.0:
@@ -271,7 +316,9 @@ def solve_pgd(
             break
         t, u = tau, v
         steps += 1
-    x = ConePoint(t, GridFunction(mesh, u))
+    # + 0.0: a projection onto the apex, or the face step at h = 0, leaves
+    # -0.0 cells; report +0.0 ones, as vertex reports do
+    x = ConePoint(t, GridFunction(mesh, u + 0.0))
     reached = residual <= opts.tolerance
     return _build_report(h, "pgd", x, gu, residual, steps, reached, opts)
 
@@ -552,8 +599,8 @@ def bangbang_ladder(
 
 def _ray_optimum(h: float, mesh: Mesh, signs: np.ndarray) -> ConePoint:
     # The best point t * (1, sigma) on the ray of a sign pattern.
-    t = h / (1.0 + 2.0 * norm_S_sq(GridFunction(mesh, signs)))
-    return ConePoint(t, GridFunction(mesh, t * signs))
+    t, u = _ray_point(h, signs.astype(float), mesh.width)
+    return ConePoint(t, GridFunction(mesh, u))
 
 
 def _vertex_report(

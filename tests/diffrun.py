@@ -50,6 +50,8 @@ SIZES = (1, 2, 3, 8, 64, 65, 1000, 4097, 65536)
 TILTS = ("0", "0.1", "0.3", "1", "1e-13", "1e150", "1e200")
 # tilts whose optimum or objective sits at the ends of the float range
 TRAP_TILTS = ("1e308", "1.7e308", "5e-324")
+SCALED_TILTS = (repr(0.3 * 2.0**20), repr(0.3 * 2.0**-20))
+COMMANDS = ("verify-ssc", "solve", "sweep", "growth", "stability")
 SSC_COMMANDS = ("verify-ssc", "growth")
 # the worker counts an SSC case runs with; None leaves _workers unpatched
 WORKERS = (1, 2, 8, None)
@@ -87,6 +89,30 @@ def _grid() -> list[list[str]]:
             [command, "--n", str(n), "--samples", str(samples), "--seed", "1"]
             for n, samples in ((1, 1000), (8, 1000), (2048, 1000), (8193, 64))
         ]
+    # a tilt of -0, which needs the attached form "--h=-0"
+    cases += [["solve", "--method", method, "--n", "8", "--h=-0"] for method in METHODS]
+    cases.append(["stability", "--n", "8", "--h=-0"])
+    cases += [
+        ["sweep", "--method", method, "--h-list=-0,0.1", "--n-list", "1,8", "--out", "rows.csv"]
+        for method in METHODS
+    ]
+    # PGD at the tilts 0.3 * 2^20 and 0.3 * 2^-20, whose reports are
+    # the one at 0.3 scaled
+    cases += [
+        ["solve", "--method", "pgd", "--n", str(n), "--h", h]
+        for n in (1, 8, 64, 1000)
+        for h in SCALED_TILTS
+    ]
+    # help, and usage errors: an unknown flag, a missing --n, an unknown
+    # method and a leftover argument
+    cases.append(["--help"])
+    cases += [[command, "--help"] for command in COMMANDS]
+    cases += [
+        ["solve", "--n", "8", "--h", "0.1", "--bogus", "1"],
+        ["solve", "--h", "0.1"],
+        ["solve", "--method", "newton", "--n", "8", "--h", "0.1"],
+        ["solve", "--n", "8", "--h", "0.1", "extra"],
+    ]
     return cases
 
 

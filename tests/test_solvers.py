@@ -32,6 +32,7 @@ from conelab import (
     SweepConfig,
     all_plus_signs,
     alternating_signs,
+    cli,
     contains,
     count_sign_changes,
     gradient,
@@ -844,21 +845,54 @@ def _reference_pgd(h, mesh, start, opts):
     The residual's projection project(x - g) and the step-1 trial are
     computed separately, and every backtracking trial evaluates its
     decrease from a fresh gradient at x; the iterate path, the halving
-    rule, the stall floor and the escape from a stationary point off the
-    vertices are those documented for solve_pgd.
+    rule, the stall floor, the escape from a stationary point off the
+    vertices and the face step are those documented for solve_pgd.  The
+    face step's ray optimum is built from norm_S_sq of the pattern as a
+    grid function, and at h = 0 it is ConePoint.apex.
     """
     x = start
-    steps, reached = 0, False
+    steps, reached, last, tried = 0, False, None, set()
     while True:
         g = gradient(h, x)
         target = project(_axpy(x, -1.0, g))
+        t, u = x.t, x.u.values
+        # the face of x when x and its unit-step target are vertex points
+        # on it, on a pass that does not stop
+        face = tuple(np.sign(u)) if (
+            norm_X(_axpy(x, -1.0, target)) > opts.tolerance
+            and steps < opts.max_iterations
+            and t > 0.0
+            and target.t > 0.0
+            and all(abs(ui) == t for ui in u)
+            and all(vi == math.copysign(target.t, ui) for vi, ui in zip(target.u.values, u))
+        ) else None
+        sigma, last = (face if face == last else None), face
+        if sigma is not None and sigma not in tried:
+            # two passes in a row found this face: try its ray optimum
+            # once, kept when f does not rise and it passes the tolerance
+            tried.add(sigma)
+            signs = GridFunction(mesh, sigma)
+            ray_t = h / (1.0 + 2.0 * operators.norm_S_sq(signs))
+            ray = ConePoint.apex(mesh)
+            if h:
+                ray = ConePoint(ray_t, GridFunction(mesh, ray_t * signs.values))
+            move = _axpy(ray, -1.0, x)
+            decrease = objective.quadratic_decrease_values(
+                g.t, g.u.values, move.t, move.u.values, mesh.width
+            )
+            g_ray = gradient(h, ray)
+            if decrease <= 0.0 and norm_X(
+                _axpy(ray, -1.0, project(_axpy(ray, -1.0, g_ray)))
+            ) <= opts.tolerance:
+                x, steps, reached = ray, steps + 1, True
+                break
         if norm_X(_axpy(x, -1.0, target)) <= opts.tolerance:
             reached = True
             if steps >= opts.max_iterations:
                 break
             # each cell off both endpoints steps to the endpoint against
             # its gradient's sign, the upper one where that is zero
-            t, u, gu = x.t, x.u.values, g.u.values
+            gu = g.u.values
             inside = [abs(abs(ui) - t) > opts.tolerance for ui in u]
             corner = [-t if gi > 0.0 else t for gi in gu]
             escape = ConePoint(t, GridFunction(mesh, np.where(inside, corner, u)))
@@ -890,6 +924,9 @@ def _reference_pgd(h, mesh, start, opts):
             break
         x = accepted
         steps += 1
+    # a zero cell is reported as +0.0, also where a projection onto the
+    # apex clipped it to -0.0
+    x = ConePoint(x.t, GridFunction(mesh, [0.0 if c == 0.0 else c for c in x.u.values]))
     return _report(h, "pgd", x, steps, reached, opts)
 
 
@@ -920,6 +957,92 @@ def test_pgd_matches_the_two_projection_reference():
         start = ConePoint(1.0, GridFunction(mesh, u))
         expected = _reference_pgd(0.1, mesh, start, opts).to_json()
         assert solve_pgd(0.1, mesh, start, opts).to_json() == expected, mesh.n
+
+
+def _workload_starts():
+    # the benchmark's pgd workload: 8 uniform starts with t = 1 at each of
+    # n = 1024 and 2048 for seeds 1-3
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for n in (1024, 2048):
+            mesh = Mesh(n)
+            for _ in range(8):
+                yield mesh, ConePoint(1.0, GridFunction(mesh, rng.uniform(-1.0, 1.0, size=n)))
+
+
+def test_pgd_ends_at_the_ray_optimum_of_its_face():
+    # the face step ends each run at its face's ray optimum, bit for bit
+    # the point bang-bang and brute report for that pattern, after a few
+    # iterations (30-32 halvings of the residual along the ray without it)
+    for mesh, start in _workload_starts():
+        report = solve_pgd(0.1, mesh, start)
+        assert report.converged and report.iterations <= 15, mesh.n
+        u = report.minimizer.u.values
+        ray = solvers._ray_optimum(0.1, mesh, np.sign(u))
+        assert report.minimizer.t == ray.t
+        assert np.array_equal(u, ray.u.values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "65", "--h", "1e150"],
+    ["--n", "64", "--h", "0.3", "--tol", "1e-20"],
+])
+def test_pgd_declines_a_face_step_that_misses_the_tolerance(argv, monkeypatch, capsys):
+    # the ray optimum's own float residual misses the tolerance here (about
+    # 5e134 and 8e-17), while the iterates reach a float fixed point with
+    # residual 0: the trial is declined, once per pattern, and the run goes
+    # on as without it
+    trials, real = [], solvers._face_step
+
+    def face_step(h, t, u, *args):
+        trials.append((np.signbit(u).tobytes(), real(h, t, u, *args)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(solvers, "_face_step", face_step)
+    assert cli.main(["solve", "--method", "pgd", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"] is True and report["stationarity"] == 0.0
+    patterns, results = zip(*trials)
+    assert len(set(patterns)) == len(patterns) and set(results) == {None}
+    options = dict(zip(argv[::2], argv[1::2]))
+    h, mesh = float(options["--h"]), Mesh(int(options["--n"]))
+    opts = SolverOptions(tolerance=float(options.get("--tol", SolverOptions().tolerance)))
+    start = project(ConePoint(h, GridFunction.zeros(mesh)))
+    assert _reference_pgd(h, mesh, start, opts).as_dict() == report
+
+
+def test_untilted_pgd_ends_at_the_exact_apex():
+    # criterion 7's seeded runs reach the apex by a projection onto it or
+    # by the face step, whose ray optimum at h = 0 is the apex; either way
+    # it is reported exactly, with +0.0 cells
+    mesh = Mesh(64)
+    for s in range(20):
+        start = random_feasible_point(mesh, np.random.default_rng(7000 + s))
+        report = solve_pgd(0.0, mesh, start)
+        assert report.converged and (report.minimizer.t, report.objective) == (0.0, 0.0), s
+        assert not np.any(report.minimizer.u.values), s
+        assert not np.any(np.signbit(report.minimizer.u.values)), s
+
+
+@pytest.mark.parametrize("m", [0.1, 0.3, 0.75])
+def test_pgd_report_is_homogeneous_in_the_tilt(m):
+    # f_h(h x) = h^2 f_1(x): from the canonical start, the report at
+    # h = m 2^k is the one at m with t, u, the residuals scaled by 2^k
+    # and the objective by 4^k, exactly
+    for n in (1, 2, 3, 8, 64, 1024):
+        mesh = Mesh(n)
+        base = solve_with_canonical_start(m, mesh, "pgd").as_dict()
+        for k in range(-8, 9):
+            report = solve_with_canonical_start(math.ldexp(m, k), mesh, "pgd").as_dict()
+            x = base["minimizer"]
+            expected = dict(
+                base,
+                minimizer={"t": math.ldexp(x["t"], k), "u": [math.ldexp(c, k) for c in x["u"]]},
+                objective=math.ldexp(base["objective"], 2 * k),
+                stationarity=math.ldexp(base["stationarity"], k),
+                pontryagin_residual=math.ldexp(base["pontryagin_residual"], k),
+            )
+            assert report == expected, (n, k)
 
 
 def test_pgd_takes_one_gradient_and_one_unit_projection_per_iteration(monkeypatch):
