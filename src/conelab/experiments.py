@@ -70,12 +70,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_list", tuple(check_tilt(float(h)) for h in self.h_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(Mesh(n).n for n in self.n_list))
         if not self.h_list or not self.n_list:
             raise ValueError("h_list and n_list must be nonempty")
-        for n in self.n_list:
-            if n < 1:
-                raise ValueError("mesh sizes must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
 

@@ -46,10 +46,9 @@ from .cone import (
     norm_X_values,
     project,
     project_values,
-    stationarity_residual,
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
-from .objective import check_tilt, gradient, gradient_values, quadratic_decrease_values, value
+from .objective import check_tilt, gradient_values, quadratic_decrease_values, value
 from .operators import SstarS_values, alternating_signs, apply_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
@@ -196,16 +195,28 @@ def _build_report(
     )
 
 
-def _check_finite(mesh: Mesh, t: float, u: np.ndarray) -> None:
-    """Refuse a non-finite (t, u) with the error its ConePoint would raise.
-
-    A sum of squares cannot cancel, so a finite np.dot(u, u) clears every
-    cell at once.  Only an infinite or nan one, which a large but finite
-    u also gives by overflow, builds the ConePoint, whose GridFunction
-    checks the cells one by one.
-    """
-    if not (math.isfinite(t) and math.isfinite(np.dot(u, u))):
+def _finite(mesh: Mesh, t: float, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """(t, u), refused if not finite with the error its ConePoint would raise."""
+    if not (math.isfinite(t) and np.isfinite(u).all()):
         ConePoint(t, GridFunction(mesh, u))
+    return t, u
+
+
+def _candidate(mesh: Mesh, t: float, u: np.ndarray, yt: float, yu: np.ndarray) -> tuple:
+    # The candidate P_C(y) of y = (yt, yu) and its move P_C(y) - x from
+    # x = (t, u), y and the move _finite (v clips a finite yu, so a
+    # non-finite tau shows in the move).
+    tau, v = project_values(*_finite(mesh, yt, yu), mesh.width)
+    return tau, v, *_finite(mesh, tau - t, v - u)
+
+
+def _unit_step(mesh: Mesh, h: float, t: float, u: np.ndarray) -> tuple:
+    # The one point evaluation of every solver at x = (t, u): the _finite
+    # gradient g = (2 t - h, 2 S*S u - u), the _candidate of x - g and its
+    # move's norm ||P_C(x - g) - x||, the residual every report certifies.
+    gt, gu = _finite(mesh, 2.0 * t - h, gradient_values(u, SstarS_values(u, mesh.width)))
+    candidate = _candidate(mesh, t, u, t - gt, u - gu)
+    return gt, gu, candidate, norm_X_values(*candidate[2:], mesh.width)
 
 
 def _ray_point(h: float, signs: np.ndarray, width: float) -> tuple[float, np.ndarray]:
@@ -216,17 +227,15 @@ def _ray_point(h: float, signs: np.ndarray, width: float) -> tuple[float, np.nda
 
 
 def _face_step(
-    h: float, t: float, u: np.ndarray, gt: float, gu: np.ndarray, width: float, tol: float
+    h: float, t: float, u: np.ndarray, gt: float, gu: np.ndarray, mesh: Mesh, tol: float
 ) -> tuple | None:
     # solve_pgd's trial of the ray optimum r of (t, u): r, its gradient and
     # unit-step residual if kept, else None; an overflow declines it silently.
-    rt, ru = _ray_point(h, np.sign(u), width)
+    rt, ru = _ray_point(h, np.sign(u), mesh.width)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not quadratic_decrease_values(gt, gu, rt - t, ru - u, width) <= 0.0:
+        if not quadratic_decrease_values(gt, gu, rt - t, ru - u, mesh.width) <= 0.0:
             return None
-        rgt, rgu = 2.0 * rt - h, gradient_values(ru, SstarS_values(ru, width))
-        tau, v = project_values(rt - rgt, ru - rgu, width)
-        residual = norm_X_values(tau - rt, v - ru, width)
+        rgt, rgu, _, residual = _unit_step(mesh, h, rt, ru)
     return (rt, ru, rgt, rgu, residual) if residual <= tol else None
 
 
@@ -235,13 +244,13 @@ def solve_pgd(
 ) -> SolveReport:
     """Projected gradient descent from a feasible start.
 
-    Each iteration takes one gradient g at x and projects x - alpha * g
-    back onto the cone, alpha halved from 1 until the exact change
-    quadratic_decrease_values is negative.  The unit-step move
-    project(x - g) - x serves twice: its norm, the fixed-point residual,
-    stops the iteration at opts.tolerance and is the report's
-    stationarity, and otherwise it is the step-1 trial.  A stall (step
-    below 1e-16 with no decrease) stops it with converged=False.
+    Each pass opens with one _unit_step at x, which gives the gradient g,
+    the candidate project(x - g) and the norm of its move: that
+    residual stops the iteration at opts.tolerance and is the report's
+    stationarity, and otherwise the candidate is the step-1 trial, alpha
+    halved from 1 until the exact change quadratic_decrease_values of
+    the move to project(x - alpha * g) is negative.  A stall (step below
+    1e-16 with no decrease) stops it with converged=False.
 
     A stationary point with cells strictly inside [-t, t] (by more than
     the absolute opts.tolerance, as pontryagin_check counts them) is a
@@ -261,7 +270,7 @@ def solve_pgd(
     GPCG) find x at a vertex (t > 0, |u_i| = t) and its unit-step
     candidate at a vertex of the same face, r is tried once per sigma.
     It is kept, as the last iteration, only if f does not rise and r's
-    own unit-step residual is within opts.tolerance; else nothing is
+    own _unit_step residual is within opts.tolerance; else nothing is
     counted, since the closed form's float residual can miss a tolerance
     the iterates meet (about 1e134 at h = 1e150, where theirs reaches 0).
 
@@ -279,34 +288,25 @@ def solve_pgd(
     t, u = start.t, start.u.values
     steps, face, tried = 0, None, set()
     while True:
-        gt, gu = 2.0 * t - h, gradient_values(u, SstarS_values(u, width))
-        _check_finite(mesh, gt, gu)
+        gt, gu, (tau, v, mt, mu), residual = _unit_step(mesh, h, t, u)
+        done = residual <= opts.tolerance or steps >= opts.max_iterations
+        # the face step: x and its candidate at vertices of one face
+        vertex = not done and t > 0.0 and tau > 0.0 and np.all(np.abs(u) == t)
+        on_face = vertex and np.array_equal(v, np.copysign(tau, u))
+        key = np.signbit(u).tobytes() if on_face else None
+        if key is not None and key == face and key not in tried:
+            tried.add(key)
+            trial = _face_step(h, t, u, gt, gu, mesh, opts.tolerance)
+            if trial:
+                (t, u, gt, gu, residual), done = trial, True
+                steps += 1
+        face = key
         step = 1.0
-        while step >= MIN_BACKTRACK_STEP:
-            yt, yu = t - step * gt, u - step * gu
-            _check_finite(mesh, yt, yu)
-            tau, v = project_values(yt, yu, width)
-            mt, mu = tau - t, v - u  # v is finite; a non-finite tau shows in mt
-            _check_finite(mesh, mt, mu)
-            if step == 1.0:
-                residual = norm_X_values(mt, mu, width)
-                done = residual <= opts.tolerance or steps >= opts.max_iterations
-                # the face step: x and its candidate at vertices of one face
-                vertex = not done and t > 0.0 and tau > 0.0 and np.all(np.abs(u) == t)
-                on_face = vertex and np.array_equal(v, np.copysign(tau, u))
-                key = np.signbit(u).tobytes() if on_face else None
-                if key is not None and key == face and key not in tried:
-                    tried.add(key)
-                    trial = _face_step(h, t, u, gt, gu, width, opts.tolerance)
-                    if trial:
-                        (t, u, gt, gu, residual), done = trial, True
-                        steps += 1
-                face = key
-                if done:
-                    break
-            if quadratic_decrease_values(gt, gu, mt, mu, width) < 0.0:
-                break
+        while not (done or quadratic_decrease_values(gt, gu, mt, mu, width) < 0.0):
             step *= 0.5
+            if step < MIN_BACKTRACK_STEP:
+                break
+            tau, v, mt, mu = _candidate(mesh, t, u, t - step * gt, u - step * gu)
         if residual <= opts.tolerance and steps < opts.max_iterations:
             inside = _interior(t, u, opts.tolerance)
             if inside.any():  # a saddle: the escape step, at fixed t
@@ -614,9 +614,8 @@ def _vertex_report(
         p, iterations, reached = ConePoint.apex(mesh), 0, True
     else:
         p = _ray_optimum(h, mesh, signs)
-    g = gradient(h, p)
-    stat = stationarity_residual(p, g)
-    return _build_report(h, method, p, g.u.values, stat, iterations, reached, opts, tie_count)
+    _, gu, _, stat = _unit_step(mesh, h, p.t, p.u.values)
+    return _build_report(h, method, p, gu, stat, iterations, reached, opts, tie_count)
 
 
 def solve_bangbang(

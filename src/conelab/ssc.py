@@ -283,8 +283,8 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     ranges.  The buffers are overwritten as the pass goes, so the worst
     row is drawn again by its index.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     n = mesh.n
     ranges = _ranges(mesh, samples, rng)
     results = [None] * len(ranges)

@@ -11,6 +11,11 @@ shows; in all other text the checkout's path and the run's temporary
 directory are replaced by fixed text, as are the random names of the
 temporary files a sweep writes before renaming them.
 
+A case named in LIBRARY calls the library instead, for what the grid
+of commands never reaches: "solve_pgd --seed S --n N --start K" prints
+the to_json of solve_pgd(0.1, ...) from start K of N cells of the
+benchmark's pgd workload for seed S, each of its 48 starts one case.
+
 The two runs are then compared case by case.  A report or a written JSON
 or CSV file is compared field by field (a sweep row's fields by name,
 over all its rows), so the output lists each differing case under its
@@ -55,6 +60,9 @@ COMMANDS = ("verify-ssc", "solve", "sweep", "growth", "stability")
 SSC_COMMANDS = ("verify-ssc", "growth")
 # the worker counts an SSC case runs with; None leaves _workers unpatched
 WORKERS = (1, 2, 8, None)
+# the pgd workload: PGD_STARTS uniform starts with t = 1 at each size of
+# PGD_N in turn, drawn from one generator per seed
+PGD_SEEDS, PGD_N, PGD_STARTS, PGD_H = (1, 2, 3), (1024, 2048), 8, 0.1
 
 
 def _grid() -> list[list[str]]:
@@ -113,6 +121,12 @@ def _grid() -> list[list[str]]:
         ["solve", "--method", "newton", "--n", "8", "--h", "0.1"],
         ["solve", "--n", "8", "--h", "0.1", "extra"],
     ]
+    cases += [
+        ["solve_pgd", "--seed", str(seed), "--n", str(n), "--start", str(k)]
+        for seed in PGD_SEEDS
+        for n in PGD_N
+        for k in range(PGD_STARTS)
+    ]
     return cases
 
 
@@ -126,6 +140,26 @@ def _fixed(text: str, workdir: str, tree: str) -> str:
     return _TEMP_NAME.sub("<tempfile>", text)
 
 
+def _solve_pgd(argv: list[str]) -> int:
+    # the library case "solve_pgd --seed S --n N --start K" (LIBRARY)
+    import numpy as np
+    from conelab import ConePoint, GridFunction, Mesh, solve_pgd
+
+    options = dict(zip(argv[1::2], argv[2::2]))
+    n, k = int(options["--n"]), int(options["--start"])
+    rng = np.random.default_rng(int(options["--seed"]))
+    starts = [(size, i) for size in PGD_N for i in range(PGD_STARTS)]
+    for size, _ in starts[: starts.index((n, k))]:
+        rng.uniform(-1.0, 1.0, size=size)  # the starts drawn before it
+    mesh = Mesh(n)
+    start = ConePoint(1.0, GridFunction(mesh, rng.uniform(-1.0, 1.0, size=n)))
+    print(solve_pgd(PGD_H, mesh, start).to_json())
+    return 0
+
+
+LIBRARY = {"solve_pgd": _solve_pgd}
+
+
 def _run_case(argv: list[str], workdir: Path, tree: Path, workers: int | None) -> dict:
     from conelab import cli, ssc
 
@@ -137,7 +171,7 @@ def _run_case(argv: list[str], workdir: Path, tree: Path, workers: int | None) -
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = cli.main(list(argv))
+                code = LIBRARY.get(argv[0], cli.main)(list(argv))
             except SystemExit as exc:
                 code = exc.code
     notes = "".join(

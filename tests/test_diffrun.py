@@ -1,7 +1,8 @@
 """tests/diffrun.py on a short case list: two copies of one tree give no
 difference, a planted change in one printed field is reported under its
 command and field, one that depends on the worker count under the counts
-that show it, and a checkout that cannot run exits 2."""
+that show it, one that only a library case reaches under that case, and
+a checkout that cannot run exits 2."""
 
 from __future__ import annotations
 
@@ -68,6 +69,23 @@ def test_a_planted_worker_dependence_is_reported_by_worker_count(tmp_path):
         for key in ("t", "u")
     }
     assert result["summary"].startswith("diffrun: 1 of 5 cases differ (0 in exit code")
+
+
+def test_a_planted_change_only_a_library_case_reaches_is_reported(tmp_path):
+    # a pgd face step that is never kept: no CLI case of CASES runs pgd,
+    # but the workload start's solve_pgd report moves
+    parent, child = _copy(tmp_path, "a"), _copy(tmp_path, "b")
+    solvers = child / "src" / "conelab" / "solvers.py"
+    text = solvers.read_text()
+    kept = "return (rt, ru, rgt, rgu, residual) if residual <= tol else None"
+    assert text.count(kept) == 1
+    solvers.write_text(text.replace(kept, "return None"))
+    library = ["solve_pgd", "--seed", "1", "--n", "1024", "--start", "0"]
+    assert library in diffrun.CASES
+    result = diffrun.compare(parent, child, CASES + [library])
+    assert {command for command, _ in result["groups"]} == {"solve_pgd"}
+    assert ("solve_pgd", "iterations") in result["groups"]
+    assert result["summary"].startswith("diffrun: 1 of 6 cases differ (0 in exit code")
 
 
 def test_a_checkout_that_cannot_run_exits_two(tmp_path, capsys):

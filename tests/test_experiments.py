@@ -51,6 +51,15 @@ def test_sweep_config_validation():
     assert not np.signbit(SweepConfig(h_list=[-0.0], n_list=[4]).h_list).any()
 
 
+def test_sweep_config_checks_its_sizes_as_mesh_does():
+    # a size Mesh refuses is refused here too, not truncated or parsed
+    for n in (2.7, True, "8", 0, -1):
+        with pytest.raises(ValueError, match="^cell count must be"):
+            SweepConfig(h_list=[0.1], n_list=[4, n])
+    cfg = SweepConfig(h_list=[0.1], n_list=[np.int64(8), 2])
+    assert cfg.n_list == (8, 2) and all(type(n) is int for n in cfg.n_list)
+
+
 def test_sweep_row_closed_form_eight_cells():
     # alternating pattern on 8 cells: image energy fraction 1/(3 n^2)
     h, m = Fraction(1, 10), Fraction(1, 3 * 8 * 8)

@@ -626,6 +626,32 @@ def test_each_vertex_report_applies_SstarS_once(monkeypatch):
                 assert calls == [n], (report.method, n, h)
 
 
+def test_each_vertex_report_builds_only_its_minimizer(monkeypatch):
+    # the gradient, the unit step and its move stay bare arrays
+    # (solvers._unit_step): the one grid function a report builds is its
+    # minimizer's, at the apex and off it
+    built = []
+
+    def counting(self, original=GridFunction.__post_init__):
+        built.append(self.mesh.n)
+        original(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counting)
+    for n in (1, 8, 65):
+        mesh = Mesh(n)
+        for h in (0.0, 0.1):
+            solves = [
+                lambda: solve_bangbang(h, mesh, all_plus_signs(n)),
+                lambda: solve_bruteforce(h, mesh),
+                lambda: solve_with_canonical_start(h, mesh, "bangbang"),
+                lambda: solve_with_canonical_start(h, mesh, "brute"),
+            ]
+            for solve in solves:
+                built.clear()
+                report = solve()
+                assert built == [n], (report.method, n, h)
+
+
 def test_bangbang_leaves_its_start_untouched():
     # _descend flips an int8 level in place; a start of any form is
     # copied into one and gives the same report

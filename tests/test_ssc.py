@@ -132,6 +132,14 @@ def test_rayleigh_ratio_scale_invariance():
         assert_allclose(rayleigh_ratio(scaled), rayleigh_ratio(d), rtol=1e-12)
 
 
+@pytest.mark.parametrize("samples", [True, False, 2.0, "8", np.int64(8), 0, -3])
+def test_sampled_estimates_refuse_a_sample_count_that_is_not_a_positive_int(samples):
+    # refused before any draw, by both estimates alike; a bool is not a count
+    for estimate in (coercivity_estimate, growth_estimate):
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1, got "):
+            estimate(Mesh(4), samples=samples, seed=0)
+
+
 def test_coercivity_estimate_validation_and_determinism():
     with pytest.raises(ValueError):
         coercivity_estimate(Mesh(4), samples=0, seed=0)
