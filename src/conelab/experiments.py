@@ -69,7 +69,7 @@ class SweepConfig:
     method: str = "bangbang"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h_list", tuple(check_tilt(float(h)) for h in self.h_list))
+        object.__setattr__(self, "h_list", tuple(check_tilt(h) for h in self.h_list))
         object.__setattr__(self, "n_list", tuple(Mesh(n).n for n in self.n_list))
         if not self.h_list or not self.n_list:
             raise ValueError("h_list and n_list must be nonempty")

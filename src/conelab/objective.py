@@ -8,6 +8,9 @@ quadratic form 2 t^2 + 2 ||S u||^2 - ||u||^2 shared by every h.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .cone import ConePoint
@@ -16,9 +19,15 @@ from .operators import _walk_energy, apply_SstarS
 
 
 def check_tilt(h: float) -> float:
-    if not np.isfinite(h) or h < 0:
+    """h as a float, refused with ValueError unless it is a Python or numpy
+    real, not a bool, whose float is finite and >= 0."""
+    try:
+        x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not 0.0 <= x < math.inf:
         raise ValueError(f"tilt must be a finite real >= 0, got {h!r}")
-    return float(h) + 0.0  # -0.0 + 0.0 is +0.0
+    return x + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _half_form(t: float, u: np.ndarray, width: float) -> float:

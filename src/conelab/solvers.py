@@ -227,11 +227,13 @@ def _ray_point(h: float, signs: np.ndarray, width: float) -> tuple[float, np.nda
 
 
 def _face_step(
-    h: float, t: float, u: np.ndarray, gt: float, gu: np.ndarray, mesh: Mesh, tol: float
+    h: float, t: float, u: np.ndarray, gt: float, gu: np.ndarray, sigma: np.ndarray,
+    mesh: Mesh, tol: float,
 ) -> tuple | None:
-    # solve_pgd's trial of the ray optimum r of (t, u): r, its gradient and
-    # unit-step residual if kept, else None; an overflow declines it silently.
-    rt, ru = _ray_point(h, np.sign(u), mesh.width)
+    # solve_pgd's trial from (t, u) of the ray optimum r of the float signs
+    # sigma: r, its gradient and unit-step residual if kept, else None; an
+    # overflow declines it silently.
+    rt, ru = _ray_point(h, sigma, mesh.width)
     with np.errstate(over="ignore", invalid="ignore"):
         if not quadratic_decrease_values(gt, gu, rt - t, ru - u, mesh.width) <= 0.0:
             return None
@@ -265,12 +267,16 @@ def solve_pgd(
 
     On an identified face PGD only halves its residual along one ray
     (Calamai and More 1987); the exact minimization there (More and
-    Toraldo 1991) is the ray optimum r of sigma = sign(u), as bang-bang
-    and brute report it.  When two passes in a row (the rule of their
-    GPCG) find x at a vertex (t > 0, |u_i| = t) and its unit-step
-    candidate at a vertex of the same face, r is tried once per sigma.
-    It is kept, as the last iteration, only if f does not rise and r's
-    own _unit_step residual is within opts.tolerance; else nothing is
+    Toraldo 1991) is the ray optimum r of the face's signs sigma, as
+    bang-bang and brute report it.  PGD reads sigma = -sign(g_u) off each
+    pass's own gradient (+1 where signbit(g_i), -1 elsewhere), the vertex
+    pontryagin_check asks of every cell: the unit step sends an interior
+    cell to 2 u_i - 2 (S*S u)_i, doubling its distance from the value
+    where g_i = 0, so its final sign is known passes before it reaches
+    -t * sign(g_i).  When two passes in a row that do not stop (the rule
+    of their GPCG) give one sigma, r is tried once per sigma.  It is
+    kept, as the last iteration, only if f does not rise and r's own
+    _unit_step residual is within opts.tolerance; else nothing is
     counted, since the closed form's float residual can miss a tolerance
     the iterates meet (about 1e134 at h = 1e150, where theirs reaches 0).
 
@@ -290,13 +296,12 @@ def solve_pgd(
     while True:
         gt, gu, (tau, v, mt, mu), residual = _unit_step(mesh, h, t, u)
         done = residual <= opts.tolerance or steps >= opts.max_iterations
-        # the face step: x and its candidate at vertices of one face
-        vertex = not done and t > 0.0 and tau > 0.0 and np.all(np.abs(u) == t)
-        on_face = vertex and np.array_equal(v, np.copysign(tau, u))
-        key = np.signbit(u).tobytes() if on_face else None
+        # the face step: one sigma = -sign(g), read as signbit(g), twice in a row
+        key = None if done else np.signbit(gu).tobytes()
         if key is not None and key == face and key not in tried:
             tried.add(key)
-            trial = _face_step(h, t, u, gt, gu, mesh, opts.tolerance)
+            sigma = np.copysign(1.0, gu) * -1.0  # not np.negative: a new ufunc pages in 0.14 MiB
+            trial = _face_step(h, t, u, gt, gu, sigma, mesh, opts.tolerance)
             if trial:
                 (t, u, gt, gu, residual), done = trial, True
                 steps += 1

@@ -51,6 +51,15 @@ def test_sweep_config_validation():
     assert not np.signbit(SweepConfig(h_list=[-0.0], n_list=[4]).h_list).any()
 
 
+def test_sweep_config_checks_its_tilts_as_check_tilt_does():
+    # a tilt check_tilt refuses is refused here too, not parsed by float()
+    for h in (True, "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match="^tilt must be a finite real >= 0"):
+            SweepConfig(h_list=[0.1, h], n_list=[4])
+    cfg = SweepConfig(h_list=[np.float32(0.5), np.int64(1), 0], n_list=[4])
+    assert cfg.h_list == (0.5, 1.0, 0.0) and all(type(h) is float for h in cfg.h_list)
+
+
 def test_sweep_config_checks_its_sizes_as_mesh_does():
     # a size Mesh refuses is refused here too, not truncated or parsed
     for n in (2.7, True, "8", 0, -1):

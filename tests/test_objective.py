@@ -1,5 +1,6 @@
 """Objective value, gradient, and Hessian form, against exact expansions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from conelab import (
     l2_inner,
     value,
 )
-from conelab.objective import quadratic_decrease_values
+from conelab.objective import check_tilt, quadratic_decrease_values
 from oracles import norm_X_sq, rayleigh_ratio
 
 
@@ -50,6 +51,19 @@ def test_tilt_validation():
             value(bad, p)
         with pytest.raises(ValueError):
             gradient(bad, p)
+
+
+def test_check_tilt_takes_real_scalars_and_refuses_the_rest():
+    # a bool, a string or any other non-real value is refused as a tilt
+    # with ValueError, not read as a number
+    for bad in (True, False, np.bool_(True), "0.5", b"1", None, 0.5j, [0.5], np.array(0.5),
+                10**400, math.nan, -math.inf, -1):
+        with pytest.raises(ValueError, match="^tilt must be a finite real >= 0"):
+            check_tilt(bad)
+    for good, expected in ((0, 0.0), (0.5, 0.5), (-0.0, 0.0), (np.float64(0.5), 0.5),
+                           (np.float32(0.5), 0.5), (np.int64(2), 2.0), (Fraction(1, 4), 0.25)):
+        h = check_tilt(good)
+        assert type(h) is float and h == expected and not math.copysign(1.0, h) < 0, good
 
 
 def test_gradient_single_cell_closed_form():
