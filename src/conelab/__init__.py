@@ -19,9 +19,7 @@ from .cone import (
     ConePoint,
     InfeasiblePointError,
     contains,
-    norm_X,
     project,
-    stationarity_residual,
 )
 from .experiments import (
     CSV_HEADER,
@@ -32,14 +30,13 @@ from .experiments import (
     stability_report,
     write_rows,
 )
-from .grid import GridFunction, Mesh, MeshMismatchError, l2_inner, l2_norm_sq
-from .objective import check_tilt, gradient, hessian_form, value
+from .grid import GridFunction, Mesh, MeshMismatchError
+from .objective import check_tilt, gradient, value
 from .operators import alternating_signs, apply_SstarS, norm_S_sq, op_norm_SstarS
 from .solvers import (
     PontryaginCheck,
     SolveReport,
     SolverOptions,
-    all_plus_signs,
     count_sign_changes,
     pontryagin_check,
     solve_bangbang,
@@ -52,7 +49,6 @@ from .ssc import (
     DELTA_CERTIFIED,
     CoercivityReport,
     GrowthReport,
-    check_stationarity,
     coercivity_estimate,
     growth_estimate,
 )

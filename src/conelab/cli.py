@@ -24,7 +24,8 @@ import json
 import math
 import sys
 
-from .cone import ConePoint
+import numpy as np
+
 from .grid import Mesh
 from .experiments import (
     _FORMATS,
@@ -33,13 +34,8 @@ from .experiments import (
     stability_report,
     write_rows,
 )
-from .solvers import METHODS, SolverOptions, solve_with_canonical_start
-from .ssc import (
-    DELTA_CERTIFIED,
-    check_stationarity,
-    coercivity_estimate,
-    growth_estimate,
-)
+from .solvers import METHODS, SolverOptions, _unit_step, solve_with_canonical_start
+from .ssc import DELTA_CERTIFIED, coercivity_estimate, growth_estimate
 
 _STATIONARITY_LIMIT = 1e-12
 _CERTIFIED_SLACK = 1e-9  # rounding allowance of a sampled constant
@@ -89,7 +85,7 @@ def _emit(payload: dict, summary: str) -> None:
 
 def _cmd_verify_ssc(args: argparse.Namespace) -> int:
     mesh = Mesh(args.n)
-    stationarity = check_stationarity(0.0, ConePoint.apex(mesh))
+    stationarity = _unit_step(mesh, 0.0, 0.0, np.zeros(mesh.n))[3]
     report = coercivity_estimate(mesh, samples=args.samples, seed=args.seed)
     checks = {
         "apex stationarity": stationarity <= _STATIONARITY_LIMIT,

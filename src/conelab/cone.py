@@ -3,7 +3,8 @@
 Points pair a scalar t with a grid function u; the norm on the product
 space is ||(t, u)||^2 = t^2 + ||u||^2 with the L^2 norm on the second
 factor.  Feasibility for step functions means |u_i| <= t on every cell,
-which forces t >= 0.
+which forces t >= 0.  solvers._unit_step builds the stationarity residual
+from the bare-value kernels project_values and norm_X_values.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ def norm_X_values(t: float, u: np.ndarray, width: float) -> float:
     return m * float(np.sqrt(t * t + width * float(_row_dots(u, u))))
 
 
-def norm_X(p: ConePoint) -> float:
-    return norm_X_values(p.t, p.u.values, p.mesh.width)
-
-
 def contains(p: ConePoint, tol: float = 0.0) -> bool:
     """Whether |u_i| <= t * (1 + tol) on every cell (so t >= 0).
 
@@ -155,18 +152,3 @@ def project(p: ConePoint) -> ConePoint:
     tau, u = project_values(p.t, p.u.values, p.mesh.width)
     return ConePoint(tau, GridFunction(p.mesh, u))
 
-
-def stationarity_residual(p: ConePoint, g: ConePoint) -> float:
-    """Norm of p - project(p - g), the fixed-point defect of a unit
-
-    projected-gradient step.  Zero exactly when -g lies in the normal
-    cone at p, so this certifies first-order optimality when g is the
-    gradient there.
-    """
-    if not contains(p, 1e-10):
-        raise InfeasiblePointError("stationarity is only defined on the cone")
-    if p.mesh != g.mesh:
-        raise ValueError("point and gradient live on different meshes")
-    moved = ConePoint(p.t - g.t, GridFunction(p.mesh, p.u.values - g.u.values))
-    proj = project(moved)
-    return norm_X_values(p.t - proj.t, p.u.values - proj.u.values, p.mesh.width)

@@ -18,9 +18,9 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 
-from .cone import Report, norm_X
+from .cone import Report, norm_X_values
 from .grid import Mesh
-from .objective import check_tilt
+from .objective import _real, check_tilt
 from .operators import norm_S_sq
 from .solvers import METHODS, SolveReport, canonical_reports, solve_with_canonical_start
 from .ssc import DELTA_CERTIFIED
@@ -79,7 +79,7 @@ class SweepConfig:
 
 def _make_row(h: float, mesh: Mesh, report: SolveReport, delta: float) -> SweepRow:
     p = report.minimizer
-    nx = norm_X(p)
+    nx = norm_X_values(p.t, p.u.values, mesh.width)
     bound = 2.0 * h / delta
     return SweepRow(
         h=float(h),
@@ -118,11 +118,11 @@ def stability_report(h: float, mesh: Mesh, delta: float) -> StabilityRecord:
     bang-bang solver's from its canonical coarse-to-fine start
     (solvers.solve_with_canonical_start).
     """
-    h = check_tilt(h)
-    if not 0 < delta < math.inf:
+    h, audited = check_tilt(h), _real(delta)
+    if not 0.0 < audited < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    row = _make_row(h, mesh, solve_with_canonical_start(h, mesh, "bangbang"), delta)
-    return StabilityRecord(row=row, delta=float(delta), slack=row.prop2_bound - row.norm_x)
+    row = _make_row(h, mesh, solve_with_canonical_start(h, mesh, "bangbang"), audited)
+    return StabilityRecord(row=row, delta=audited, slack=row.prop2_bound - row.norm_x)
 
 
 def _cell(value) -> str:

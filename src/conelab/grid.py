@@ -7,9 +7,9 @@ uniform mesh with n cells of width 1/n:
     |--u_1--|--u_2--| ... |--u_n--|
     0      1/n     2/n   (n-1)/n  1
 
-Inner products carry the cell width, so l2_inner agrees with the exact
-L^2 pairing of the represented step functions.  Every sum of products
-behind a printed number is _row_dots, in one fixed order.
+An L^2 inner product is the cell width times the sum of the products of
+cell values, the exact pairing of the represented step functions.  Every
+sum of products behind a printed number is _row_dots, in one fixed order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 
 class MeshMismatchError(ValueError):
-    """Raised when two grid functions live on different meshes."""
+    """Raised when a solver's start point lives on another mesh."""
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,6 @@ class GridFunction:
     def zeros(cls, mesh: Mesh) -> "GridFunction":
         return cls(mesh, np.zeros(mesh.n))
 
-    @classmethod
-    def constant(cls, mesh: Mesh, c: float) -> "GridFunction":
-        return cls(mesh, np.full(mesh.n, float(c)))
-
-
-def _check_same_mesh(u: GridFunction, v: GridFunction) -> None:
-    if u.mesh != v.mesh:
-        raise MeshMismatchError(
-            f"grid functions live on different meshes: n={u.mesh.n} vs n={v.mesh.n}"
-        )
-
 
 def _row_dots(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Dot products of matching rows along the last axis, in a fixed order.
@@ -92,13 +81,3 @@ def _row_dots(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
         return np.add.reduce(x * y)
     return np.einsum("...i,...i->...", x, y, out=out)
 
-
-def l2_inner(u: GridFunction, v: GridFunction) -> float:
-    """Exact L^2(0,1) inner product of two step functions on one mesh."""
-    _check_same_mesh(u, v)
-    return u.mesh.width * float(_row_dots(u.values, v.values))
-
-
-def l2_norm_sq(u: GridFunction) -> float:
-    """Exact squared L^2 norm, width * sum(u_i^2)."""
-    return u.mesh.width * float(_row_dots(u.values, u.values))

@@ -3,7 +3,7 @@
     f_h(t, u) = t^2 + ||S u||^2 - (1/2) ||u||^2 - h t,       h >= 0.
 
 The tilt h only touches the linear term, so the Hessian is the constant
-quadratic form 2 t^2 + 2 ||S u||^2 - ||u||^2 shared by every h.
+quadratic form 2 t^2 + 2 ||S u||^2 - ||u||^2 = 2 f_0 shared by every h.
 """
 
 from __future__ import annotations
@@ -18,13 +18,18 @@ from .grid import GridFunction, _row_dots
 from .operators import _walk_energy, apply_SstarS
 
 
+def _real(x) -> float:
+    """float(x) of a Python or numpy real, not a bool (inf past the float range), else nan."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def check_tilt(h: float) -> float:
     """h as a float, refused with ValueError unless it is a Python or numpy
     real, not a bool, whose float is finite and >= 0."""
-    try:
-        x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else math.nan
-    except OverflowError:  # an int past the float range
-        x = math.inf
+    x = _real(h)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"tilt must be a finite real >= 0, got {h!r}")
     return x + 0.0  # -0.0 + 0.0 is +0.0
@@ -58,11 +63,6 @@ def gradient(h: float, p: ConePoint) -> ConePoint:
     h = check_tilt(h)
     gu = gradient_values(p.u.values, apply_SstarS(p.u).values)
     return ConePoint(2.0 * p.t - h, GridFunction(p.mesh, gu))
-
-
-def hessian_form(d: ConePoint) -> float:
-    """The quadratic form f''(d, d) = 2 t^2 + 2 ||S u||^2 - ||u||^2."""
-    return 2.0 * _half_form(d.t, d.u.values, d.mesh.width)
 
 
 def quadratic_decrease_values(

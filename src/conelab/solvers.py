@@ -48,7 +48,7 @@ from .cone import (
     project_values,
 )
 from .grid import GridFunction, Mesh, MeshMismatchError
-from .objective import check_tilt, gradient_values, quadratic_decrease_values, value
+from .objective import _real, check_tilt, gradient_values, quadratic_decrease_values, value
 from .operators import SstarS_values, alternating_signs, apply_SstarS, walk_energy
 
 MIN_BACKTRACK_STEP = 1e-16
@@ -67,10 +67,10 @@ class SolverOptions:
         if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 1:
             raise ValueError("max_iterations must be an integer >= 1")
         object.__setattr__(self, "max_iterations", int(cap))
-        tol = self.tolerance
-        object.__setattr__(self, "tolerance", float(tol))
-        if isinstance(tol, (bool, np.bool_)) or not (0.0 < self.tolerance < math.inf):
+        tol = _real(self.tolerance)
+        if not 0.0 < tol < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        object.__setattr__(self, "tolerance", tol)
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,6 @@ def count_sign_changes(values: np.ndarray) -> int:
     """Number of adjacent cell pairs with strictly opposite signs."""
     v = np.asarray(values, dtype=float).reshape(-1)
     return int(np.count_nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0))
-
-
-def all_plus_signs(n: int) -> np.ndarray:
-    return np.ones(n)
 
 
 def _interior(t: float, u: np.ndarray, tol: float) -> np.ndarray:

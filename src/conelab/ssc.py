@@ -1,7 +1,7 @@
 """Second-order analysis at the apex: coercivity and quadratic growth.
 
-At the origin the untilted objective has zero gradient, and on the cone
-the Hessian form dominates a multiple of the squared norm:
+At the origin the untilted objective has zero gradient (verify-ssc reads
+it from solvers._unit_step), and on the cone the Hessian form dominates:
 
     |u| <= t   =>   |(S u)(x)| <= t x
                =>   f''(d, d) >= (2 - 2/3 - 1) t^2 = t^2 / 3
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import ConePoint, Report, stationarity_residual
+from .cone import ConePoint, Report
 from .grid import GridFunction, Mesh, _row_dots
-from .objective import gradient
+from .objective import _real
 from .operators import _walk_energy, alternating_signs
 
 BETA_CERTIFIED = 1.0 / 6.0
@@ -54,11 +54,6 @@ _GROUP_ROWS = 1024
 # block each and every row's sums depend on that row only
 _ROW_PIECE = 8192
 _CHAIN_TOL = 1e-10  # absolute slack of each chain link on a sampled row
-
-
-def check_stationarity(h: float, p: ConePoint) -> float:
-    """Projected-gradient fixed-point residual of f_h at p (p must be in C)."""
-    return stationarity_residual(p, gradient(h, p))
 
 
 def _chain(t2, image, comp, out=(None, None, None)):
@@ -348,17 +343,18 @@ def growth_estimate(
     scaled to a random norm in (0, epsilon].  The certified lower bound
     is 1/2: on the cone f_0(x) >= t^2 - ||u||^2 / 2 >= ||x||^2 / 4.
     """
-    if not 0 < epsilon < math.inf:
+    eps = _real(epsilon)
+    if not 0.0 < eps < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     rng = np.random.default_rng(seed)
     delta, index, row, nsq, _ = _sampled_pass(mesh, samples, rng)
     # the radii follow the rows in the stream, one per row in row order
     rng.bit_generator.advance(index)
     radius = 1.0 - rng.uniform(0.0, 1.0)
-    scale = epsilon * radius / np.sqrt(nsq)
+    scale = eps * radius / np.sqrt(nsq)
     return GrowthReport(
         delta_estimate=delta,
-        epsilon=float(epsilon),
+        epsilon=eps,
         samples=samples,
         worst_point=ConePoint(float(scale), GridFunction(mesh, row * scale)),
     )

@@ -1,11 +1,13 @@
 """Test oracles that the program itself never calls.
 
 The piecewise-linear image of S and its exact L^2 pairing (the other
-side of the adjoint identity), mesh nodes, the squared product norm, the
-cone projection's height by an exact bracket search, a random feasible
-start, the coercivity chain checked on one direction through
-ssc._chain, and the bang-bang sweep loop as a walk over every cell on
-Python ints (_single_flips, _pair_flips and _descend), and the canonical
+side of the adjoint identity), mesh nodes, the L^2 inner product of two
+step functions and the squared product norm, exactly, the cone
+projection's height by an exact bracket search, the stationarity
+residual in Fractions, a random feasible start, the coercivity chain
+checked on one direction through ssc._chain, and the bang-bang sweep
+loop as a walk over every cell on Python ints (_single_flips,
+_pair_flips and _descend), and the canonical
 nested bang-bang start built level by level on that walk (nested_start),
 which the shared levels of solvers.bangbang_ladder must reproduce.
 
@@ -22,15 +24,29 @@ import numpy as np
 
 from conelab import ssc
 from conelab.cone import ConePoint, InfeasiblePointError, contains
-from conelab.grid import GridFunction, Mesh, l2_norm_sq
-from conelab.objective import hessian_form
+from conelab.grid import GridFunction, Mesh
+from conelab.objective import value
 from conelab.operators import norm_S_sq
 from conelab.solvers import pontryagin_check
 
 
+def exact_l2_inner(u: GridFunction, v: GridFunction) -> Fraction:
+    """The L^2(0,1) inner product (1/n) * sum(u_i v_i) of two step functions, exactly."""
+    if u.mesh != v.mesh:
+        raise ValueError("grid functions live on different meshes")
+    # each float is an integer over a power of 2, so every product's
+    # denominator divides the largest one, and one integer sum is exact
+    ratios = [
+        (a.as_integer_ratio(), b.as_integer_ratio())
+        for a, b in zip(u.values.tolist(), v.values.tolist())
+    ]
+    den = max(p[1] * q[1] for p, q in ratios)
+    return Fraction(sum(p[0] * q[0] * (den // (p[1] * q[1])) for p, q in ratios), den * u.mesh.n)
+
+
 def norm_X_sq(p: ConePoint) -> float:
-    """Squared product norm t^2 + ||u||^2."""
-    return p.t * p.t + l2_norm_sq(p.u)
+    """Squared product norm t^2 + ||u||^2, rounded once from its exact value."""
+    return float(Fraction(p.t) ** 2 + exact_l2_inner(p.u, p.u))
 
 
 def exact_projection_height(t: float, u: np.ndarray, width: float) -> Fraction:
@@ -41,15 +57,43 @@ def exact_projection_height(t: float, u: np.ndarray, width: float) -> Fraction:
     derivative of the distance in tau is linear on [a_{k+1}, a_k], where
     its root is (t + width * (a_1 + ... + a_k)) / (1 + width * k).  The
     first root that lies in its own bracket is the answer (tied brackets
-    share their root), clamped at the apex height 0.
+    share their root), clamped at the apex height 0.  The inputs may be
+    floats or Fractions.
     """
-    a = sorted((Fraction(abs(float(x))) for x in u), reverse=True)
+    a = sorted((abs(Fraction(x)) for x in u), reverse=True)
     w = Fraction(width)
     for k in range(len(a) + 1):
         tau = (Fraction(t) + w * sum(a[:k])) / (1 + w * k)
         if (k == 0 or tau <= a[k - 1]) and (k == len(a) or tau >= a[k]):
             return max(tau, Fraction(0))
     raise AssertionError("no bracket holds the root")
+
+
+def exact_stationarity_sq(h: float, t: float, u: np.ndarray) -> Fraction:
+    """The squared stationarity residual ||P_C(x - g) - x||^2 of f_h at x = (t, u), exactly.
+
+    g = (2 t - h, 2 S*S u - u) on len(u) cells of width 1/n, with each
+    (S*S u)_i = <S u, S e_i> / width from the pairing of the two
+    piecewise-linear images (the adjoint of S, not the K6 closed form);
+    the projection of y = x - g has the height tau of
+    exact_projection_height and clips y_u to [-tau, tau].
+    """
+    n = len(u)
+    width = Fraction(1, n)
+    t, u = Fraction(t), [Fraction(x) for x in u]
+    walk = [Fraction(0)]  # the node values of S u
+    for x in u:
+        walk.append(walk[-1] + width * x)
+    yu = []
+    for i, x in enumerate(u):
+        image = [width if k > i else Fraction(0) for k in range(n + 1)]  # S e_i
+        pairing = sum(
+            width / 6 * (2 * a1 * b1 + a1 * b2 + a2 * b1 + 2 * a2 * b2)
+            for a1, a2, b1, b2 in zip(walk, walk[1:], image, image[1:])
+        )
+        yu.append(x - (2 * pairing / width - x))
+    tau = exact_projection_height(t - (2 * t - Fraction(h)), yu, width)
+    return (tau - t) ** 2 + width * sum((min(max(y, -tau), tau) - x) ** 2 for x, y in zip(u, yu))
 
 
 def nodes(mesh: Mesh) -> np.ndarray:
@@ -106,11 +150,11 @@ def pontryagin_residual(p: ConePoint, tol: float = 1e-10) -> float:
 
 
 def rayleigh_ratio(d: ConePoint) -> float:
-    """hessian_form(d) over the squared product norm of d."""
+    """The curvature form f''(d, d) = 2 f_0(d) over the squared product norm of d."""
     nsq = norm_X_sq(d)
     if nsq == 0.0:
         raise ValueError("the ratio is undefined at the origin")
-    return hessian_form(d) / nsq
+    return 2.0 * value(0.0, d) / nsq
 
 
 @dataclass(frozen=True)
@@ -133,7 +177,7 @@ def coercivity_certificate(d: ConePoint, tol: float = 1e-10) -> list[ChainLink]:
     if not contains(d, tol):
         raise InfeasiblePointError("certificate directions must lie in the cone")
     t2 = d.t * d.t
-    _, nsq, links = ssc._chain(t2, norm_S_sq(d.u), l2_norm_sq(d.u))
+    _, nsq, links = ssc._chain(t2, norm_S_sq(d.u), float(exact_l2_inner(d.u, d.u)))
     if nsq == 0.0:
         raise ValueError("certificate directions must be nonzero")
     scale = tol * max(1.0, t2)

@@ -1,4 +1,4 @@
-"""Cone membership, nearest-point projection, and the stationarity residual."""
+"""Cone membership, nearest-point projection, the product norm and the stationarity residual."""
 
 from fractions import Fraction
 
@@ -9,15 +9,13 @@ from numpy.testing import assert_allclose
 from conelab import (
     ConePoint,
     GridFunction,
-    InfeasiblePointError,
     Mesh,
     contains,
-    l2_norm_sq,
-    norm_X,
     project,
-    stationarity_residual,
 )
-from conelab.cone import Report, project_values
+from conelab.cone import Report, norm_X_values, project_values
+from conelab.grid import _row_dots
+from conelab.solvers import _unit_step
 from oracles import exact_projection_height, norm_X_sq
 
 
@@ -27,8 +25,11 @@ def _point(t, values):
 
 
 def _dist_sq(p, q):
-    dt = p.t - q.t
-    return dt * dt + l2_norm_sq(GridFunction(p.mesh, p.u.values - q.u.values))
+    return norm_X_sq(ConePoint(p.t - q.t, GridFunction(p.mesh, p.u.values - q.u.values)))
+
+
+def _norm(p):
+    return norm_X_values(p.t, p.u.values, p.mesh.width)
 
 
 def test_cone_point_basics():
@@ -41,20 +42,22 @@ def test_cone_point_basics():
         ConePoint(np.nan, GridFunction.zeros(mesh))
     p = _point(2.0, [1.0, -2.0, 0.5])
     assert_allclose(norm_X_sq(p), 4.0 + (1.0 + 4.0 + 0.25) / 3.0, rtol=1e-15)
-    assert_allclose(norm_X(p), np.sqrt(norm_X_sq(p)), rtol=1e-15)
+    assert_allclose(_norm(p), np.sqrt(norm_X_sq(p)), rtol=1e-15)
 
 
 def test_norm_X_rescales_only_outside_the_normal_range():
     rng = np.random.default_rng(30)
     for n in (1, 7, 64):
         p = _point(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0, size=n))
-        assert norm_X(p) == float(np.sqrt(norm_X_sq(p)))
+        # the unscaled sum, with the one reduction _row_dots, bit for bit
+        u = p.u.values
+        assert _norm(p) == float(np.sqrt(p.t * p.t + p.mesh.width * float(_row_dots(u, u))))
     # t^2 + ||u||^2 underflows or overflows, the norm does not
     for scale in (1e-300, 1e-200, 1e200, 1e300):
         p = _point(scale, [scale, -0.5 * scale])
         with np.errstate(over="ignore"):
-            assert_allclose(norm_X(p), scale * np.sqrt(1.625), rtol=1e-15)
-    assert norm_X(ConePoint.apex(Mesh(3))) == 0.0
+            assert_allclose(_norm(p), scale * np.sqrt(1.625), rtol=1e-15)
+    assert _norm(ConePoint.apex(Mesh(3))) == 0.0
 
 
 def test_contains():
@@ -69,8 +72,6 @@ def test_feasibility_slack_is_relative_to_t():
     # |u_i| = 30 t lies outside the cone however small t is
     far = _point(1e-12, [3e-11, -3e-11])
     assert not contains(far, 1e-10)
-    with pytest.raises(InfeasiblePointError):
-        stationarity_residual(far, ConePoint.apex(far.mesh))
     # the slack is t * tol: at the apex only u = 0 passes
     assert contains(_point(1e-12, [1e-12 * (1.0 + 1e-11)]), 1e-10)
     assert not contains(_point(1e-12, [1e-12 * (1.0 + 1e-9)]), 1e-10)
@@ -198,25 +199,15 @@ def test_project_is_nonexpansive_and_positively_homogeneous():
 
 
 def test_stationarity_residual_values():
+    # the residual of _unit_step at the apex, where the gradient is (-h, 0)
     mesh = Mesh(4)
-    apex = ConePoint.apex(mesh)
-    zero = ConePoint(0.0, GridFunction.zeros(mesh))
-    assert stationarity_residual(apex, zero) == 0.0
+    zeros = np.zeros(4)
+    assert _unit_step(mesh, 0.0, 0.0, zeros)[3] == 0.0
     # an inward-pointing gradient component moves the apex by h
-    pull = ConePoint(-0.2, GridFunction.zeros(mesh))
-    assert_allclose(stationarity_residual(apex, pull), 0.2, rtol=1e-15)
-    # outward gradients are swallowed by the cone's normal directions
-    push = ConePoint(0.7, GridFunction.zeros(mesh))
-    assert stationarity_residual(apex, push) == 0.0
-
-
-def test_stationarity_residual_errors():
-    mesh = Mesh(2)
-    g = ConePoint.apex(mesh)
-    with pytest.raises(InfeasiblePointError):
-        stationarity_residual(_point(-1.0, [0.0, 0.0]), g)
-    with pytest.raises(ValueError):
-        stationarity_residual(ConePoint.apex(Mesh(3)), g)
+    assert_allclose(_unit_step(mesh, 0.2, 0.0, zeros)[3], 0.2, rtol=1e-15)
+    # outward gradients are swallowed by the cone's normal directions: the
+    # kernel takes a negative h, whose gradient (0.7, 0) points outward
+    assert _unit_step(mesh, -0.7, 0.0, zeros)[3] == 0.0
 
 
 def test_report_prints_its_keys_in_order_with_points_as_plain_data():

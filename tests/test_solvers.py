@@ -30,13 +30,11 @@ from conelab import (
     MeshMismatchError,
     SolverOptions,
     SweepConfig,
-    all_plus_signs,
     alternating_signs,
     cli,
     contains,
     count_sign_changes,
     gradient,
-    norm_X,
     objective,
     operators,
     perturbation_sweep,
@@ -47,9 +45,9 @@ from conelab import (
     solve_pgd,
     solve_with_canonical_start,
     solvers,
-    stationarity_residual,
     value,
 )
+from conelab.cone import norm_X_values
 from conelab.operators import _k6_times, walk_energy
 import oracles
 from oracles import pontryagin_residual, random_feasible_point
@@ -57,11 +55,8 @@ from oracles import pontryagin_residual, random_feasible_point
 
 def _report(h, method, p, iterations, reached, opts, tie_count=None):
     # the report at p from a gradient and residual taken afresh there
-    g = gradient(h, p)
-    stat = stationarity_residual(p, g)
-    return solvers._build_report(
-        h, method, p, g.u.values, stat, iterations, reached, opts, tie_count
-    )
+    _, gu, _, stat = solvers._unit_step(p.mesh, h, p.t, p.u.values)
+    return solvers._build_report(h, method, p, gu, stat, iterations, reached, opts, tie_count)
 
 
 def _exact_gram(n):
@@ -107,8 +102,8 @@ def test_solver_options_validation():
         SolverOptions(tolerance=float("inf"))
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=True)
-    # a numeric string is stored as the float the solvers compare against
-    assert SolverOptions(tolerance="1e-3").tolerance == 1e-3
+    # a real tolerance is stored as the float the solvers compare against
+    assert SolverOptions(tolerance=Fraction(1, 1000)).tolerance == 1e-3
 
 
 def test_solver_options_take_numpy_integers_and_refuse_bools():
@@ -122,6 +117,17 @@ def test_solver_options_take_numpy_integers_and_refuse_bools():
     for bad in (True, False, np.bool_(True)):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SolverOptions(tolerance=bad)
+
+
+def test_solver_options_refuse_a_tolerance_that_is_not_a_real():
+    # as check_tilt: a string is not parsed, and None or a complex is
+    # refused with ValueError, not TypeError
+    for bad in ("1e-3", b"1e-3", None, 1e-3j, [1e-3], 10**400):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverOptions(tolerance=bad)
+    for good in (np.float32(0.5), np.int64(1), 1):
+        tol = SolverOptions(tolerance=good).tolerance
+        assert type(tol) is float and tol == float(good)
 
 
 def test_bruteforce_two_cells():
@@ -236,7 +242,7 @@ def test_bangbang_closed_form_on_a_fine_mesh():
     # the sweep counts from all-plus pin the visit order of the moves
     h = 1.0
     for n, sweeps in {512: 28, 1024: 37, 2048: 56, 4096: 74}.items():
-        report = solve_bangbang(h, Mesh(n), all_plus_signs(n))
+        report = solve_bangbang(h, Mesh(n), np.ones(n))
         f, t = _closed_form(h, n)
         assert_allclose(report.objective, f, rtol=1e-12)
         assert_allclose(report.minimizer.t, t, rtol=1e-12)
@@ -254,7 +260,7 @@ def test_nested_start_prolongs_the_coarse_minimizer():
 
     for n, cap in ((64, 5), (65, 100), (129, 100), (130, 100), (257, 100)):
         m = (n + 1) // 2
-        start = all_plus_signs(n) if n <= 64 else np.repeat(level(m, cap)[0], 2)[:n]
+        start = np.ones(n) if n <= 64 else np.repeat(level(m, cap)[0], 2)[:n]
         report = solve_bangbang(1.0, Mesh(n), start, SolverOptions(max_iterations=cap))
         signs, sweeps = level(n, cap)
         assert np.array_equal(np.sign(report.minimizer.u.values), signs), n
@@ -508,7 +514,7 @@ def test_gain_scan_bound_and_the_walk_only_path(monkeypatch):
         out = []
         for n, h in cases:
             out.append(solve_with_canonical_start(h, Mesh(n), "bangbang").to_json())
-            out.append(solve_bangbang(h, Mesh(n), all_plus_signs(n)).to_json())
+            out.append(solve_bangbang(h, Mesh(n), np.ones(n)).to_json())
         return out
 
     transduced = reports()
@@ -570,10 +576,10 @@ def test_bangbang_refuses_sizes_past_the_int64_bound(monkeypatch):
     # the bound is the largest size descended, here lowered to 100 cells
     monkeypatch.undo()
     monkeypatch.setattr(solvers, "_MAX_N", 100)
-    assert solve_bangbang(0.1, Mesh(100), all_plus_signs(100)).converged
+    assert solve_bangbang(0.1, Mesh(100), np.ones(100)).converged
     assert [n for n, _, _, _ in solvers.bangbang_ladder([100], 100)] == [100]
     with pytest.raises(ValueError, match="at most 100 cells"):
-        solve_bangbang(0.1, Mesh(101), all_plus_signs(101))
+        solve_bangbang(0.1, Mesh(101), np.ones(101))
     with pytest.raises(ValueError, match="at most 100 cells"):
         list(solvers.bangbang_ladder([101], 100))
 
@@ -585,7 +591,7 @@ def test_bangbang_refuses_sizes_past_the_int64_bound_at_every_tilt(monkeypatch):
     monkeypatch.setattr(solvers, "_MAX_N", 64)
     mesh = Mesh(65)
     calls = [
-        lambda: solve_bangbang(0.0, mesh, all_plus_signs(65)),
+        lambda: solve_bangbang(0.0, mesh, np.ones(65)),
         lambda: solve_with_canonical_start(0.0, mesh, "bangbang"),
         lambda: solve_with_canonical_start(-0.0, mesh, "bangbang"),
         lambda: perturbation_sweep(SweepConfig((0.0,), (64, 65), "bangbang")),
@@ -616,7 +622,7 @@ def test_each_vertex_report_applies_SstarS_once(monkeypatch):
         mesh = Mesh(n)
         for h in (0.0, 0.1, 1.0):
             solves = [
-                lambda: solve_bangbang(h, mesh, all_plus_signs(n)),
+                lambda: solve_bangbang(h, mesh, np.ones(n)),
                 lambda: solve_bruteforce(h, mesh),
                 lambda: solve_with_canonical_start(h, mesh, "bangbang"),
             ]
@@ -641,7 +647,7 @@ def test_each_vertex_report_builds_only_its_minimizer(monkeypatch):
         mesh = Mesh(n)
         for h in (0.0, 0.1):
             solves = [
-                lambda: solve_bangbang(h, mesh, all_plus_signs(n)),
+                lambda: solve_bangbang(h, mesh, np.ones(n)),
                 lambda: solve_bruteforce(h, mesh),
                 lambda: solve_with_canonical_start(h, mesh, "bangbang"),
                 lambda: solve_with_canonical_start(h, mesh, "brute"),
@@ -672,19 +678,19 @@ def test_bangbang_leaves_its_start_untouched():
 
 
 def test_bangbang_two_and_four_cells():
-    report = solve_bangbang(1.0, Mesh(2), all_plus_signs(2))
+    report = solve_bangbang(1.0, Mesh(2), np.ones(2))
     t = 6.0 / 7.0
     assert_allclose(report.objective, -3.0 / 7.0, atol=1e-14)
     assert_allclose(report.minimizer.u.values, [t, -t], atol=1e-14)
     assert report.converged
-    report4 = solve_bangbang(1.0, Mesh(4), all_plus_signs(4))
+    report4 = solve_bangbang(1.0, Mesh(4), np.ones(4))
     assert_allclose(report4.objective, -12.0 / 25.0, atol=1e-13)
     assert_allclose(report4.minimizer.t, 24.0 / 25.0, atol=1e-13)
     assert report4.sign_changes == 3
 
 
 def test_bangbang_untilted_returns_the_apex_immediately():
-    report = solve_bangbang(0.0, Mesh(32), all_plus_signs(32))
+    report = solve_bangbang(0.0, Mesh(32), np.ones(32))
     assert report.minimizer.t == 0.0
     assert report.objective == 0.0
     assert report.iterations == 0
@@ -708,7 +714,7 @@ def test_every_solver_checks_the_tilt_first(h, monkeypatch):
     monkeypatch.setattr(solvers, "_descend", no_descent)
     mesh = Mesh(100)
     calls = [
-        lambda: solve_bangbang(h, mesh, all_plus_signs(mesh.n)),
+        lambda: solve_bangbang(h, mesh, np.ones(mesh.n)),
         lambda: solve_bruteforce(h, mesh),
         lambda: solve_pgd(h, mesh, ConePoint.apex(mesh)),
     ]
@@ -724,7 +730,7 @@ def test_every_solver_checks_the_tilt_first(h, monkeypatch):
 def test_bangbang_matches_bruteforce_from_all_plus():
     for n in range(1, 11):
         for h in (0.1, 0.5, 1.0):
-            bb = solve_bangbang(h, Mesh(n), all_plus_signs(n))
+            bb = solve_bangbang(h, Mesh(n), np.ones(n))
             brute = solve_bruteforce(h, Mesh(n))
             assert abs(bb.objective - brute.objective) <= 1e-10
             assert bb.converged
@@ -748,7 +754,7 @@ def test_bangbang_reaches_the_global_pattern_from_adversarial_starts():
 
 def test_bangbang_canonicalizes_ties_to_alternating_from_plus():
     for n in (2, 3, 6, 9, 64, 255):
-        report = solve_bangbang(0.3, Mesh(n), all_plus_signs(n))
+        report = solve_bangbang(0.3, Mesh(n), np.ones(n))
         assert report.sign_changes == n - 1
         assert report.minimizer.u.values[0] > 0.0
         assert report.converged
@@ -763,7 +769,7 @@ def test_pgd_stationary_start():
 
 def test_pgd_untilted_runs_to_the_apex():
     mesh = Mesh(8)
-    start = ConePoint(0.5, GridFunction.constant(mesh, 0.3))
+    start = ConePoint(0.5, GridFunction(mesh, np.full(mesh.n, 0.3)))
     report = solve_pgd(0.0, mesh, start)
     assert report.converged
     assert np.sqrt(report.minimizer.t ** 2) <= 1e-6
@@ -843,7 +849,7 @@ def test_pgd_converges_only_at_vertex_points(n):
 def test_pgd_start_validation():
     mesh = Mesh(3)
     with pytest.raises(InfeasiblePointError):
-        solve_pgd(1.0, mesh, ConePoint(0.5, GridFunction.constant(mesh, 1.0)))
+        solve_pgd(1.0, mesh, ConePoint(0.5, GridFunction(mesh, np.ones(mesh.n))))
     with pytest.raises(MeshMismatchError):
         solve_pgd(1.0, mesh, ConePoint.apex(Mesh(4)))
 
@@ -863,6 +869,10 @@ def test_pgd_monotone_descent():
 
 def _axpy(p, a, q):
     return ConePoint(p.t + a * q.t, GridFunction(p.mesh, p.u.values + a * q.u.values))
+
+
+def _norm(p):
+    return norm_X_values(p.t, p.u.values, p.mesh.width)
 
 
 def _reference_pgd(h, mesh, start, opts):
@@ -885,7 +895,7 @@ def _reference_pgd(h, mesh, start, opts):
         # the signs sigma = -sign(g_u) of the pass's own gradient, +1 on a
         # -0.0 entry and -1 on a +0.0 one, on a pass that does not stop
         face = tuple(-math.copysign(1.0, gi) for gi in g.u.values) if (
-            norm_X(_axpy(x, -1.0, target)) > opts.tolerance
+            _norm(_axpy(x, -1.0, target)) > opts.tolerance
             and steps < opts.max_iterations
         ) else None
         sigma, last = (face if face == last else None), face
@@ -903,12 +913,12 @@ def _reference_pgd(h, mesh, start, opts):
                 g.t, g.u.values, move.t, move.u.values, mesh.width
             )
             g_ray = gradient(h, ray)
-            if decrease <= 0.0 and norm_X(
+            if decrease <= 0.0 and _norm(
                 _axpy(ray, -1.0, project(_axpy(ray, -1.0, g_ray)))
             ) <= opts.tolerance:
                 x, steps, reached = ray, steps + 1, True
                 break
-        if norm_X(_axpy(x, -1.0, target)) <= opts.tolerance:
+        if _norm(_axpy(x, -1.0, target)) <= opts.tolerance:
             reached = True
             if steps >= opts.max_iterations:
                 break
@@ -1233,7 +1243,7 @@ def test_converged_implies_stationarity_below_tolerance():
         for h in (0.2, 1.0):
             reports = [
                 solve_pgd(h, mesh, random_feasible_point(mesh, rng)),
-                solve_bangbang(h, mesh, all_plus_signs(n)),
+                solve_bangbang(h, mesh, np.ones(n)),
                 solve_bruteforce(h, mesh),
             ]
             for report in reports:
@@ -1241,6 +1251,30 @@ def test_converged_implies_stationarity_below_tolerance():
                 assert report.stationarity <= 1e-10
                 assert report.pontryagin_residual <= 1e-9
                 assert contains(report.minimizer)
+
+
+def test_unit_step_residual_is_the_exact_residual_rounded():
+    # the one residual every report and verify-ssc print, against the
+    # exact one in Fractions (oracles.exact_stationarity_sq), on random
+    # feasible points and at the ray optimum of every sign pattern, where
+    # it is 0 but for the rounding of t; inputs are O(1), so the bound
+    # is absolute, a few ulps of 1
+    rng = np.random.default_rng(56)
+    checked = 0
+    for n in range(1, 9):
+        mesh = Mesh(n)
+        points = [random_feasible_point(mesh, rng) for _ in range(8)]
+        for h in (0.0, 0.1, 1.0):
+            starts = [(p.t, p.u.values) for p in points]
+            if h:
+                for signs in itertools.product((1.0, -1.0), repeat=n):
+                    starts.append(solvers._ray_point(h, np.array(signs), mesh.width))
+            for t, u in starts:
+                residual = solvers._unit_step(mesh, h, t, u)[3]
+                exact = math.sqrt(oracles.exact_stationarity_sq(h, t, u))
+                assert abs(residual - exact) <= 1e-15, (n, h, t, u)
+                checked += 1
+    assert checked == 8 * 8 * 3 + 2 * sum(2**n for n in range(1, 9))
 
 
 @pytest.mark.parametrize("h", [1.0, 0.1, 1e-13, 1e-100, 1e-200])
@@ -1276,7 +1310,7 @@ def test_pontryagin_check_values():
     best = solve_bruteforce(1.0, mesh).minimizer
     assert pontryagin_residual(best) <= 1e-12
     # every vertex whose cells oppose their own reduced derivative passes
-    ones = ConePoint(1.0, GridFunction.constant(mesh, 1.0))
+    ones = ConePoint(1.0, GridFunction(mesh, np.ones(mesh.n)))
     check = pontryagin_check(ones)
     assert check.residual == 0.0
     assert check.nonvertex_cells == 0
@@ -1290,7 +1324,7 @@ def test_pontryagin_check_values():
 def test_pontryagin_check_errors():
     mesh = Mesh(2)
     with pytest.raises(InfeasiblePointError):
-        pontryagin_check(ConePoint(0.1, GridFunction.constant(mesh, 1.0)))
+        pontryagin_check(ConePoint(0.1, GridFunction(mesh, np.ones(mesh.n))))
     # |u_i| = 30 t is outside the cone at every scale, tiny ones included
     with pytest.raises(InfeasiblePointError):
         pontryagin_check(ConePoint(1e-12, GridFunction(mesh, np.array([3e-11, -3e-11]))))
@@ -1327,7 +1361,7 @@ def test_random_feasible_point_reproducibility():
 
 
 def test_report_serialization():
-    report = solve_bangbang(1.0, Mesh(2), all_plus_signs(2))
+    report = solve_bangbang(1.0, Mesh(2), np.ones(2))
     parsed = json.loads(report.to_json())
     assert parsed["method"] == "bangbang"
     assert parsed["tie_count"] is None

@@ -18,31 +18,35 @@ from conelab import (
     InfeasiblePointError,
     Mesh,
     alternating_signs,
-    check_stationarity,
     coercivity_estimate,
     growth_estimate,
-    norm_X,
 )
 from conelab import ssc
+from conelab.cone import norm_X_values
+from conelab.solvers import _unit_step
 from conelab.operators import walk_energy
 from oracles import coercivity_certificate, rayleigh_ratio
 
 
+def _norm(p):
+    return norm_X_values(p.t, p.u.values, p.mesh.width)
+
+
 def test_check_stationarity_at_the_apex():
-    apex = ConePoint.apex(Mesh(16))
-    assert check_stationarity(0.0, apex) == 0.0
+    # the residual verify-ssc prints: _unit_step's at the apex
+    zeros = np.zeros(16)
+    assert _unit_step(Mesh(16), 0.0, 0.0, zeros)[3] == 0.0
     # a tilt pulls the apex along t with force exactly h
-    assert_allclose(check_stationarity(0.2, apex), 0.2, rtol=1e-15)
+    assert_allclose(_unit_step(Mesh(16), 0.2, 0.0, zeros)[3], 0.2, rtol=1e-15)
 
 
 def test_check_stationarity_away_from_the_apex():
-    p = ConePoint(1.0, GridFunction.constant(Mesh(4), 1.0))
-    assert check_stationarity(0.0, p) > 0.1
+    assert _unit_step(Mesh(4), 0.0, 1.0, np.ones(4))[3] > 0.1
 
 
 def test_certificate_chain_tight_case():
     # u = t on every cell makes links (i) and (ii) equalities
-    d = ConePoint(1.0, GridFunction.constant(Mesh(8), 1.0))
+    d = ConePoint(1.0, GridFunction(Mesh(8), np.ones(8)))
     links = coercivity_certificate(d)
     names = [link.name for link in links]
     assert names == [
@@ -77,7 +81,7 @@ def test_certificate_chain_alternating_direction():
 def test_certificate_errors():
     mesh = Mesh(3)
     with pytest.raises(InfeasiblePointError):
-        coercivity_certificate(ConePoint(0.5, GridFunction.constant(mesh, 1.0)))
+        coercivity_certificate(ConePoint(0.5, GridFunction(mesh, np.ones(mesh.n))))
     with pytest.raises(ValueError):
         coercivity_certificate(ConePoint.apex(mesh))
 
@@ -156,7 +160,7 @@ def test_growth_estimate_certified_bound():
         report = growth_estimate(Mesh(n), epsilon=1.0, samples=2000, seed=0)
         assert report.delta_estimate >= 0.5 - 1e-9
         assert report.epsilon == 1.0
-        assert norm_X(report.worst_point) <= 1.0 + 1e-12
+        assert _norm(report.worst_point) <= 1.0 + 1e-12
 
 
 def test_growth_estimate_known_ratios():
@@ -165,7 +169,7 @@ def test_growth_estimate_known_ratios():
     # minimum cannot exceed it
     report = growth_estimate(Mesh(4), epsilon=0.5, samples=50, seed=1)
     assert 0.5 - 1e-9 <= report.delta_estimate <= 5.0 / 6.0 + 1e-12
-    assert norm_X(report.worst_point) <= 0.5 + 1e-12
+    assert _norm(report.worst_point) <= 0.5 + 1e-12
 
 
 def test_growth_estimate_validation_and_determinism():
@@ -179,6 +183,18 @@ def test_growth_estimate_validation_and_determinism():
     a = growth_estimate(Mesh(8), epsilon=1.0, samples=300, seed=5)
     b = growth_estimate(Mesh(8), epsilon=1.0, samples=300, seed=5)
     assert a.to_json() == b.to_json()
+
+
+def test_growth_estimate_refuses_an_epsilon_that_is_not_a_real():
+    # as check_tilt: True is not the radius 1.0, a string is not parsed,
+    # and None or a complex is refused with ValueError, not TypeError
+    for bad in (True, np.bool_(True), "1.0", None, 1j, [1.0], 10**400):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            growth_estimate(Mesh(4), epsilon=bad, samples=10)
+    # a real of another type gives the report of its float
+    expected = growth_estimate(Mesh(4), epsilon=0.5, samples=10).to_json()
+    for good in (Fraction(1, 2), np.float32(0.5), np.float64(0.5)):
+        assert growth_estimate(Mesh(4), epsilon=good, samples=10).to_json() == expected
 
 
 def _one_shot(mesh, samples, rng, tol=1e-10):
@@ -421,7 +437,7 @@ def test_growth_estimate_is_the_coercivity_ratio():
         np.testing.assert_array_equal(
             delta.worst_point.u.values, beta.worst_direction.u.values * s
         )
-        assert norm_X(delta.worst_point) <= epsilon * (1.0 + 1e-12)
+        assert _norm(delta.worst_point) <= epsilon * (1.0 + 1e-12)
         # the radii are drawn after every row, one per row in row order
         rng = np.random.default_rng(seed)
         U, ratios, nsq, _ = _one_shot(mesh, samples, rng)
