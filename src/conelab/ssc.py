@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import os
-import threading
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +39,17 @@ BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
 
 # cells per block of sampled rows, over all the pass's workers: each of
-# its W row ranges (_workers, one per CPU) holds max(1, _BLOCK_CELLS // W
-# // n) rows at a time (one above _ROW_PIECE cells a row) in one reused
-# buffer, 0.5 MiB in all, inside a 2 MiB per-core L2, so the pass's
-# memory does not grow with the sample count.  The draws and every row's
-# sums depend on neither the block size nor W, so no output does.
+# its W row ranges (_workers) holds max(1, _BLOCK_CELLS // W // n) rows
+# at a time (one above _ROW_PIECE cells a row) in one reused buffer,
+# 0.5 MiB in all, inside a 2 MiB per-core L2, so the pass's memory does
+# not grow with the sample count.  The draws and every row's sums depend
+# on neither the block size nor W, so no output does.
 _BLOCK_CELLS = 2**16
+# least sampled cells a range of its own runs: a child process costs 2-3
+# ms to fork, exit and reap, and on 2 CPUs two ranges were no faster than
+# one at 2^20 cells in all (medians +0.1-0.3 ms of about 8-11) and faster
+# at 2^21 (13.0 against 16.2 ms at n = 2048)
+_RANGE_CELLS = 2**20
 # rows per group, over all workers: a range keeps each row's ||S u||^2
 # and ||u||^2 and checks the chain and takes the minimum once per group
 # of _GROUP_ROWS // W rows (rounded up to whole blocks) and once at the end
@@ -205,12 +211,15 @@ def _range_minimum(mesh: Mesh, blocks, work):
 
 def _workers(n: int, samples: int) -> int:
     """Row ranges of the sampled pass: one per CPU this process may run
-    on, at most one per _BLOCK_CELLS sampled cells, and at least one."""
+    on, at most one per _RANGE_CELLS sampled cells, and at least one;
+    one where there is no os.fork to run the others."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform with no CPU affinity
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, samples * n // _BLOCK_CELLS))
+    return max(1, min(cpus, samples * n // _RANGE_CELLS))
 
 
 def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
@@ -259,6 +268,52 @@ def _ranges(mesh: Mesh, samples: int, rng: np.random.Generator) -> list:
     return ranges
 
 
+def _forked_range(args):
+    """(pid, read end of its pipe) of a child that runs _range_minimum(*args).
+
+    The child writes the pickled result, or the error the range raised,
+    to the pipe and leaves by os._exit, so it runs none of the caller's
+    exit handlers and flushes none of its buffers; if it cannot write
+    them, it leaves with status 1 and writes nothing.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = _range_minimum(*args)
+            except BaseException as error:
+                result = error
+            data = pickle.dumps(result)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _forked_result(pid: int, read: int):
+    """The result that child pid wrote to the pipe read, once the child has been reaped."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        return RuntimeError(f"range process {pid} ended with status {code} and no result")
+    return pickle.loads(data)
+
+
 def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     """Stream the sampled directions once, keeping only the running minimum.
 
@@ -268,38 +323,36 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     chain links within _CHAIN_TOL; rng ends advanced past the
     samples * n numbers of the draws, as if it had drawn them itself.
 
-    The caller runs the first range of _ranges and one thread each runs
-    the others, on every CPU the process may use; every range's arrays
-    are allocated before any starts, so the peak does not depend on the
-    threads' timing.  Then the caller scores the two extra rows of
-    _sampled_row, a 1-row block each, in the first range's group arrays.
-    All minima merge by (ratio, global index), which keeps the first row
-    attaining the least ratio, so no output depends on the number of
-    ranges.  The buffers are overwritten as the pass goes, so the worst
-    row is drawn again by its index.
+    The caller runs the first range of _ranges and a child made by
+    os.fork runs each of the others, so the ranges' prefix sums, which
+    hold the interpreter lock, run at once.  A child calls no BLAS
+    routine (np.einsum without optimize, np.cumsum and the generator),
+    so it needs none of the caller's BLAS threads.  It sends its minimum,
+    or its error, back through a pipe; the caller reads every pipe to its
+    end and reaps every child before it returns or raises, and then
+    raises the error of the first range that failed, if any: the same
+    object for its own range, one of the same type and message for a
+    child's.  Every range's arrays are allocated before the first fork,
+    so the caller's peak does not depend on the children's timing.  Then
+    the caller scores the two extra rows of _sampled_row, a 1-row block
+    each, in the first range's group arrays.  All minima merge by
+    (ratio, global index), which keeps the first row attaining the least
+    ratio, so no output depends on the number of ranges.  The buffers are
+    overwritten as the pass goes, so the worst row is drawn again by its
+    index.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     n = mesh.n
     ranges = _ranges(mesh, samples, rng)
-    results = [None] * len(ranges)
-
-    def run(i):
-        try:
-            results[i] = _range_minimum(*ranges[i][1])
-        except BaseException as error:  # raised below, once every range has ended
-            results[i] = error
-
-    threads = []
+    children = []
     try:
-        for i in range(1, len(ranges)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
+        for _, args in ranges[1:]:
+            children.append(_forked_range(args))
+        first = _range_minimum(*ranges[0][1])
+    except BaseException as error:  # a failed fork too; raised below, once every child is reaped
+        first = error
+    results = [first] + [_forked_result(pid, read) for pid, read in children]
     for result in results:
         if isinstance(result, BaseException):
             raise result
@@ -313,6 +366,14 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     return ratio, index, row, nsq, all(r[3] for r in results)
 
 
+def _generator(seed) -> np.random.Generator:
+    """The generator of seed, refused with ValueError unless seed is a
+    Python or numpy integer, not a bool, >= 0 (numpy refuses a negative one)."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(int(seed))
+
+
 def coercivity_estimate(
     mesh: Mesh, samples: int = 10000, seed: int = 0
 ) -> CoercivityReport:
@@ -322,7 +383,7 @@ def coercivity_estimate(
     over the sampled directions; chain_checks_passed records whether
     the certificate chain held on every one of them.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     beta, _, row, _, passed = _sampled_pass(mesh, samples, rng)
     return CoercivityReport(
         beta_estimate=beta,
@@ -346,7 +407,7 @@ def growth_estimate(
     eps = _real(epsilon)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     delta, index, row, nsq, _ = _sampled_pass(mesh, samples, rng)
     # the radii follow the rows in the stream, one per row in row order
     rng.bit_generator.advance(index)

@@ -51,7 +51,9 @@ def test_verify_ssc_memory_is_bounded_in_samples():
     # the child reports its own peak RSS: RUSAGE_CHILDREN would keep the
     # maximum of every earlier test's subprocess, and on Linux the child's
     # own ru_maxrss starts from this process's high-water mark across
-    # fork/exec, so it reads VmHWM where /proc has one
+    # fork/exec, so it reads VmHWM where /proc has one; the command's
+    # range processes, reaped before it returns, report their largest
+    # peak as the child's RUSAGE_CHILDREN
     child = (
         "import contextlib, io, resource\n"
         "from conelab.cli import main\n"
@@ -63,15 +65,17 @@ def test_verify_ssc_memory_is_bounded_in_samples():
         "    peak_kib = int(fields['VmHWM'].split()[0])\n"
         "except (OSError, KeyError):\n"
         "    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(code, peak_kib)\n"
+        "ranges_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(code, peak_kib, ranges_kib)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True
     )
-    code, peak_kib = map(int, result.stdout.split())
+    code, peak_kib, ranges_kib = map(int, result.stdout.split())
     assert code == 0
     # one 4000 x 8192 array of doubles alone would take 250 MiB
     assert peak_kib < 256 * 1024
+    assert ranges_kib < 256 * 1024
 
 
 def test_solve_command_bruteforce():

@@ -2,8 +2,7 @@
 
 import json
 import math
-import sys
-import threading
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -142,6 +141,22 @@ def test_sampled_estimates_refuse_a_sample_count_that_is_not_a_positive_int(samp
     for estimate in (coercivity_estimate, growth_estimate):
         with pytest.raises(ValueError, match="^samples must be an integer >= 1, got "):
             estimate(Mesh(4), samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("estimate", [coercivity_estimate, growth_estimate])
+def test_sampled_estimates_refuse_a_seed_that_is_not_an_integer(estimate):
+    # None would draw OS entropy, so no report could be reproduced; True
+    # is not the seed 1, a list is not a seed, and a float or a string is
+    # refused with ValueError, not TypeError; numpy refuses a negative seed
+    for bad in (None, True, np.bool_(True), [1, 2], 1.0, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            estimate(Mesh(4), samples=10, seed=bad)
+    with pytest.raises(ValueError):
+        estimate(Mesh(4), samples=10, seed=-1)
+    # a numpy integer gives the report of its int
+    expected = estimate(Mesh(4), samples=10, seed=1).to_json()
+    for good in (np.int64(1), np.uint8(1)):
+        assert estimate(Mesh(4), samples=10, seed=good).to_json() == expected
 
 
 def test_coercivity_estimate_validation_and_determinism():
@@ -324,13 +339,8 @@ def test_worker_count_cannot_change_a_report(monkeypatch, extras):
     assert [state for _, _, state in serial] == states
     assert outputs(2) == serial
     assert outputs(3) == serial
-    # more threads than CPUs, switching as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert outputs(8) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    # more range processes than CPUs
+    assert outputs(8) == serial
 
 
 def test_a_sampled_worst_row_matches_one_uniform_draw(monkeypatch):
@@ -392,30 +402,59 @@ def test_a_chain_failure_in_an_extra_row_fails_the_report(monkeypatch, workers):
     assert not coercivity_estimate(mesh, samples=3000).chain_checks_passed
 
 
-@pytest.mark.parametrize("failing_range", [1, 2])
-def test_no_thread_outlives_the_pass(monkeypatch, failing_range):
-    # range 1 runs in the caller and range 2 in a thread; an error in
-    # either is raised from the estimate once the thread has ended
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing_range", [1, 2, "exit"])
+def test_no_range_process_outlives_the_pass(monkeypatch, failing_range):
+    # range 1 runs in the caller and range 2 in a forked child; an error
+    # in either is raised from the estimate once the child is reaped: the
+    # caller's as the same object, the child's with its type and message
+    # (no object crosses a process), and a child that ends without a
+    # result as RuntimeError
     monkeypatch.setattr(ssc, "_workers", lambda n, samples: 2)
     mesh = Mesh(2048)
-    baseline = threading.active_count()
     coercivity_estimate(mesh, samples=100)
-    assert threading.active_count() == baseline
-    row_dots, caller = ssc._row_dots, threading.current_thread()
+    _no_child_is_left()
+    row_dots, caller = ssc._row_dots, os.getpid()
     raised = []
 
     def faulty(x, y, out=None):
-        if (threading.current_thread() is caller) == (failing_range == 1):
-            raised.append(FloatingPointError(f"range {failing_range}"))
-            raise raised[-1]
+        if os.getpid() == caller:
+            if failing_range == 1:
+                raised.append(FloatingPointError("range 1"))
+                raise raised[-1]
+        elif failing_range == 2:
+            raise FloatingPointError("range 2")
+        else:
+            os._exit(3)
         return row_dots(x, y, out)
 
     monkeypatch.setattr(ssc, "_row_dots", faulty)
     for estimate in (coercivity_estimate, growth_estimate):
-        with pytest.raises(FloatingPointError) as error:
-            estimate(mesh, samples=100)
-        assert error.value is raised[-1]
-        assert threading.active_count() == baseline
+        if failing_range == 1:
+            with pytest.raises(FloatingPointError) as error:
+                estimate(mesh, samples=100)
+            assert error.value is raised[-1]
+        elif failing_range == 2:
+            with pytest.raises(FloatingPointError, match="^range 2$"):
+                estimate(mesh, samples=100)
+        else:
+            with pytest.raises(RuntimeError, match="ended with status 3 and no result"):
+                estimate(mesh, samples=100)
+        _no_child_is_left()
+
+
+def test_one_range_where_there_is_no_fork(monkeypatch):
+    # without os.fork (Windows) the caller runs the pass as one range,
+    # and the report is the one any number of ranges gives
+    mesh = Mesh(2048)
+    expected = coercivity_estimate(mesh, samples=1024).to_json()
+    monkeypatch.delattr(os, "fork")
+    assert ssc._workers(2048, 10**6) == 1
+    assert coercivity_estimate(mesh, samples=1024).to_json() == expected
 
 
 def test_growth_estimate_is_the_coercivity_ratio():
@@ -526,6 +565,22 @@ def test_sampled_pass_holds_one_block_buffer():
     for estimate in (coercivity_estimate, growth_estimate):
         peak = _traced_peak(estimate, Mesh(2048), 10000)
         assert peak < 0.75 * 2**20, (estimate.__name__, peak)
+
+
+def test_a_forked_range_allocates_little_beyond_its_buffers(monkeypatch):
+    # the traced peaks above see only the caller; a child runs
+    # _range_minimum on the buffers _ranges allocated before the fork, so
+    # a non-first range is run here in the caller, traced from after
+    # _ranges, as a child runs it
+    monkeypatch.setattr(ssc, "_workers", lambda n, samples: 2)
+    ranges = ssc._ranges(Mesh(2048), 10000, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        ssc._range_minimum(*ranges[1][1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 def test_growth_memory_does_not_grow_with_samples():
