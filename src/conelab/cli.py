@@ -41,14 +41,20 @@ _STATIONARITY_LIMIT = 1e-12
 _CERTIFIED_SLACK = 1e-9  # rounding allowance of a sampled constant
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return n
+
+    return parse
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _nonnegative_float(text: str) -> float:
@@ -157,7 +163,7 @@ _N = ("--n", {"type": _positive_int, "required": True, "help": "mesh cells"})
 _H = ("--h", {"type": _nonnegative_float, "required": True, "help": "tilt"})
 _METHOD = ("--method", {"choices": METHODS, "default": "bangbang"})
 _SAMPLES = ("--samples", {"type": _positive_int, "default": 10000})
-_SEED = ("--seed", {"type": int, "default": 0})
+_SEED = ("--seed", {"type": _nonnegative_int, "default": 0})
 _COMMANDS = {
     "verify-ssc": (
         "check apex stationarity and the sampled coercivity bound",

@@ -38,12 +38,12 @@ from .operators import _walk_energy, alternating_signs
 BETA_CERTIFIED = 1.0 / 6.0
 DELTA_CERTIFIED = 0.5
 
-# cells per block of sampled rows, over all the pass's workers: each of
-# its W row ranges (_workers) holds max(1, _BLOCK_CELLS // W // n) rows
-# at a time (one above _ROW_PIECE cells a row) in one reused buffer,
-# 0.5 MiB in all, inside a 2 MiB per-core L2, so the pass's memory does
-# not grow with the sample count.  The draws and every row's sums depend
-# on neither the block size nor W, so no output does.
+# cells per block of sampled rows, over all the pass's W row ranges
+# (_workers): each holds max(1, _BLOCK_CELLS // W // n) rows at a time
+# (one above _ROW_PIECE cells a row) in a reused buffer that the process
+# running it allocates, so the caller holds a W-th of the 0.5 MiB, inside
+# a 2 MiB per-core L2, whatever the sample count.  The draws and every
+# row's sums depend on neither the block size nor W, so no output does.
 _BLOCK_CELLS = 2**16
 # least sampled cells a range of its own runs: a child process costs 2-3
 # ms to fork, exit and reap, and on 2 CPUs two ranges were no faster than
@@ -51,8 +51,9 @@ _BLOCK_CELLS = 2**16
 # at 2^21 (13.0 against 16.2 ms at n = 2048)
 _RANGE_CELLS = 2**20
 # rows per group, over all workers: a range keeps each row's ||S u||^2
-# and ||u||^2 and checks the chain and takes the minimum once per group
-# of _GROUP_ROWS // W rows (rounded up to whole blocks) and once at the end
+# and ||u||^2 in group arrays of its own, and checks the chain and takes
+# the minimum once per group of _GROUP_ROWS // W rows (rounded up to
+# whole blocks) and once at the end
 _GROUP_ROWS = 1024
 # cells of a row that np.einsum sums in one piece wherever the row is; a
 # longer row in a block of several rows is summed in pieces of this many
@@ -182,17 +183,16 @@ def _row_sums(mesh: Mesh, blocks, sums):
     yield image[:filled], comp[:filled]
 
 
-def _range_minimum(mesh: Mesh, blocks, work):
+def _range_minimum(mesh: Mesh, blocks, group: int):
     """(ratio, offset, nsq, chain_passed) over the halved rows in blocks.
 
     The least f''(d, d) / ||d||^2 of the rows d = (1, u), the offset
     among them and ||d||^2 of the first row attaining it, and whether
-    every row passed the four chain links within _CHAIN_TOL.  work is
-    (6, group) float sums and a group of bools; the chain and the ratios
-    are evaluated in place there once per group, so the rows allocate no
-    array per block or group.
+    every row passed the four chain links within _CHAIN_TOL.  The chain
+    and the ratios are evaluated in place, in arrays of group rows made
+    once, for each group of whole blocks, so no block or group allocates.
     """
-    sums, mask = work
+    sums, mask = np.empty((6, group)), np.empty(group, dtype=bool)
     best, offset, passed = (np.inf, 0, 0.0), 0, True
     for image, comp in _row_sums(mesh, blocks, sums[:2]):
         k = image.size
@@ -243,33 +243,20 @@ def _sampled_row(n: int, samples: int, rng: np.random.Generator, index: int) -> 
     return _jumped(rng, index * n).uniform(-1.0, 1.0, size=n)
 
 
-def _ranges(mesh: Mesh, samples: int, rng: np.random.Generator) -> list:
-    """The row ranges of the sampled pass, as (first row, arguments of
-    _range_minimum) each.
-
-    The samples drawn rows (no extra row) are split into W =
-    _workers(n, samples) contiguous ranges (at most one a row).  Each
-    range draws its _row_blocks from a copy of rng advanced past the
-    rows before it, and gets its W-th share of _BLOCK_CELLS cells (a row
-    a block, above _ROW_PIECE cells a row) and of _GROUP_ROWS rows.
-    """
-    n = mesh.n
-    workers = min(_workers(n, samples), samples)
-    block = max(1, _BLOCK_CELLS // workers // n) if n <= _ROW_PIECE else 1
-    group_rows = max(1, _GROUP_ROWS // workers)
-    bounds = [samples * k // workers for k in range(workers + 1)]
-    ranges = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        buffer = np.empty((min(hi - lo, block), n))
-        group = min(-(-group_rows // len(buffer)) * len(buffer), hi - lo)
-        blocks = _row_blocks(hi - lo, _jumped(rng, lo * n), buffer)
-        work = (np.empty((6, group)), np.empty(group, dtype=bool))
-        ranges.append((lo, (mesh, blocks, work)))
-    return ranges
+def _range(mesh: Mesh, rng: np.random.Generator, lo: int, hi: int, workers: int):
+    """_range_minimum of sampled rows lo ... hi - 1, one of W = workers ranges,
+    drawn from a copy of rng advanced past the rows before them into a
+    buffer of the range's W-th share of _BLOCK_CELLS cells (a row a block
+    above _ROW_PIECE cells a row), in groups of its share of _GROUP_ROWS."""
+    n, rows = mesh.n, hi - lo
+    block = min(rows, max(1, _BLOCK_CELLS // workers // n) if n <= _ROW_PIECE else 1)
+    group = min(-(-max(1, _GROUP_ROWS // workers) // block) * block, rows)
+    blocks = _row_blocks(rows, _jumped(rng, lo * n), np.empty((block, n)))
+    return _range_minimum(mesh, blocks, group)
 
 
 def _forked_range(args):
-    """(pid, read end of its pipe) of a child that runs _range_minimum(*args).
+    """(pid, read end of its pipe) of a child that runs _range(*args).
 
     The child writes the pickled result, or the error the range raised,
     to the pipe and leaves by os._exit, so it runs none of the caller's
@@ -288,7 +275,7 @@ def _forked_range(args):
         try:
             os.close(read)
             try:
-                result = _range_minimum(*args)
+                result = _range(*args)
             except BaseException as error:
                 result = error
             data = pickle.dumps(result)
@@ -323,55 +310,60 @@ def _sampled_pass(mesh: Mesh, samples: int, rng: np.random.Generator):
     chain links within _CHAIN_TOL; rng ends advanced past the
     samples * n numbers of the draws, as if it had drawn them itself.
 
-    The caller runs the first range of _ranges and a child made by
-    os.fork runs each of the others, so the ranges' prefix sums, which
-    hold the interpreter lock, run at once.  A child calls no BLAS
-    routine (np.einsum without optimize, np.cumsum and the generator),
-    so it needs none of the caller's BLAS threads.  It sends its minimum,
-    or its error, back through a pipe; the caller reads every pipe to its
-    end and reaps every child before it returns or raises, and then
-    raises the error of the first range that failed, if any: the same
-    object for its own range, one of the same type and message for a
-    child's.  Every range's arrays are allocated before the first fork,
-    so the caller's peak does not depend on the children's timing.  Then
-    the caller scores the two extra rows of _sampled_row, a 1-row block
-    each, in the first range's group arrays.  All minima merge by
-    (ratio, global index), which keeps the first row attaining the least
-    ratio, so no output depends on the number of ranges.  The buffers are
+    The sampled rows (no extra row) are split into W = _workers(n,
+    samples) contiguous ranges of _range (at most one a row).  The caller
+    runs the first range and a child made by os.fork runs each of the
+    others, so the ranges' prefix sums, which hold the interpreter lock,
+    run at once; each process allocates its own range's arrays.  A child
+    calls no BLAS routine (np.einsum without optimize, np.cumsum and the
+    generator), so it needs none of the caller's BLAS threads.  It sends
+    its minimum, or its error, back through a pipe; the caller reads or
+    closes every pipe and reaps every child before it returns or raises,
+    and then raises the error of the first range that failed, if any:
+    the same object for its own range, one of the same type and message
+    for a child's.  Then the caller scores the two extra rows of
+    _sampled_row, a 1-row block each.  All minima merge by (ratio,
+    global index), which keeps the first row attaining the least ratio,
+    so no output depends on the number of ranges.  The buffers are
     overwritten as the pass goes, so the worst row is drawn again by its
     index.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     n = mesh.n
-    ranges = _ranges(mesh, samples, rng)
+    workers = min(_workers(n, samples), samples)
+    bounds = [samples * k // workers for k in range(workers + 1)]
     children = []
     try:
-        for _, args in ranges[1:]:
-            children.append(_forked_range(args))
-        first = _range_minimum(*ranges[0][1])
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_forked_range((mesh, rng, lo, hi, workers)))
+        first = _range(mesh, rng, 0, bounds[1], workers)
     except BaseException as error:  # a failed fork too; raised below, once every child is reaped
         first = error
-    results = [first] + [_forked_result(pid, read) for pid, read in children]
+    results = [first]
+    try:
+        for pid, read in children:
+            results.append(_forked_result(pid, read))
+    finally:  # the children after one whose result could not be read
+        for pid, read in children[len(results):]:
+            os.close(read)
+            os.waitpid(pid, 0)
     for result in results:
         if isinstance(result, BaseException):
             raise result
     extras = (0.5 * _sampled_row(n, samples, rng, i)[None] for i in (samples, samples + 1))
-    results.append(_range_minimum(mesh, extras, ranges[0][1][2]))
-    firsts = [lo for lo, _ in ranges] + [samples]
-    ratio, index, nsq = min((r[0], lo + r[1], r[2]) for lo, r in zip(firsts, results))
-    del ranges  # the workspaces, before the worst row is drawn again
+    results.append(_range_minimum(mesh, extras, 1))
+    ratio, index, nsq = min((r[0], lo + r[1], r[2]) for lo, r in zip(bounds, results))
     row = _sampled_row(n, samples, rng, index)
     rng.bit_generator.advance(samples * n)
     return ratio, index, row, nsq, all(r[3] for r in results)
 
 
-def _generator(seed) -> np.random.Generator:
-    """The generator of seed, refused with ValueError unless seed is a
-    Python or numpy integer, not a bool, >= 0 (numpy refuses a negative one)."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.default_rng(int(seed))
+def _sampling(samples, seed) -> tuple[int, np.random.Generator]:
+    """(samples, the generator of seed), refused with ValueError unless
+    each is a Python or numpy integer, not a bool, samples >= 1, seed >= 0."""
+    for name, value, least in (("seed", seed, 0), ("samples", samples, 1)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(samples), np.random.default_rng(int(seed))
 
 
 def coercivity_estimate(
@@ -383,7 +375,7 @@ def coercivity_estimate(
     over the sampled directions; chain_checks_passed records whether
     the certificate chain held on every one of them.
     """
-    rng = _generator(seed)
+    samples, rng = _sampling(samples, seed)
     beta, _, row, _, passed = _sampled_pass(mesh, samples, rng)
     return CoercivityReport(
         beta_estimate=beta,
@@ -407,7 +399,7 @@ def growth_estimate(
     eps = _real(epsilon)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    rng = _generator(seed)
+    samples, rng = _sampling(samples, seed)
     delta, index, row, nsq, _ = _sampled_pass(mesh, samples, rng)
     # the radii follow the rows in the stream, one per row in row order
     rng.bit_generator.advance(index)

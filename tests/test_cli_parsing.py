@@ -14,7 +14,7 @@ from conelab import cli
 
 VALID = [
     ["verify-ssc", "--n", "16"],
-    ["verify-ssc", "--n", "8", "--samples", "300", "--seed", "-3"],
+    ["verify-ssc", "--n", "8", "--samples", "300", "--seed", "3"],
     ["solve", "--n", "8", "--h", "0.1"],
     ["solve", "--method", "brute", "--n", "20", "--h", "1"],
     ["solve", "--method", "pgd", "--n=3", "--h=-0", "--tol", "1e-20", "--max-iter", "2"],
@@ -68,6 +68,8 @@ USAGE_ERRORS = [
     ["growth", "--n", "8", "--samples", "-5"],
     ["stability", "--n", "8", "--h", "0.1", "--delta", "-1e-3"],
     ["verify-ssc", "--n", "8", "--seed", "x"],
+    ["verify-ssc", "--n", "8", "--samples", "300", "--seed", "-3"],
+    ["growth", "--n", "8", "--seed", "-1"],
     # a bad value and an unrecognized argument: the value error comes first
     ["solve", "--n", "0", "--h", "1", "extra"],
 ]
@@ -149,4 +151,15 @@ def test_help_and_usage_errors_match_the_full_parser(argv, recorded, capsys):
     assert ours == _outcome(_full_parser_main, argv, capsys)
     assert ours[0] == (0 if argv in HELP else 2)
     assert ours[1 if argv in HELP else 2].startswith("usage: conelab")
+    assert not recorded
+
+
+@pytest.mark.parametrize("command", ["verify-ssc", "growth"])
+def test_a_negative_seed_is_a_usage_error(command, recorded, capsys):
+    # numpy refuses a negative seed; the parser refuses it first, naming
+    # the option, and prints nothing on stdout
+    code, out, err = _outcome(cli.main, [command, "--n", "4", "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: conelab {command}")
+    assert f"conelab {command}: error: argument --seed: expected an integer >= 0, got '-1'" in err
     assert not recorded

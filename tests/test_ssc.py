@@ -135,7 +135,7 @@ def test_rayleigh_ratio_scale_invariance():
         assert_allclose(rayleigh_ratio(scaled), rayleigh_ratio(d), rtol=1e-12)
 
 
-@pytest.mark.parametrize("samples", [True, False, 2.0, "8", np.int64(8), 0, -3])
+@pytest.mark.parametrize("samples", [True, False, 2.0, "8", None, 0, -3, np.bool_(True)])
 def test_sampled_estimates_refuse_a_sample_count_that_is_not_a_positive_int(samples):
     # refused before any draw, by both estimates alike; a bool is not a count
     for estimate in (coercivity_estimate, growth_estimate):
@@ -144,15 +144,21 @@ def test_sampled_estimates_refuse_a_sample_count_that_is_not_a_positive_int(samp
 
 
 @pytest.mark.parametrize("estimate", [coercivity_estimate, growth_estimate])
+def test_sampled_estimates_take_a_numpy_sample_count(estimate):
+    # a numpy integer, like a numpy seed, gives the report of its int
+    expected = estimate(Mesh(4), samples=10).to_json()
+    for good in (np.int64(10), np.uint16(10)):
+        assert estimate(Mesh(4), samples=good).to_json() == expected
+
+
+@pytest.mark.parametrize("estimate", [coercivity_estimate, growth_estimate])
 def test_sampled_estimates_refuse_a_seed_that_is_not_an_integer(estimate):
     # None would draw OS entropy, so no report could be reproduced; True
     # is not the seed 1, a list is not a seed, and a float or a string is
-    # refused with ValueError, not TypeError; numpy refuses a negative seed
-    for bad in (None, True, np.bool_(True), [1, 2], 1.0, "1"):
+    # refused with ValueError, not TypeError, as is a negative seed
+    for bad in (None, True, np.bool_(True), [1, 2], 1.0, "1", -1):
         with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
             estimate(Mesh(4), samples=10, seed=bad)
-    with pytest.raises(ValueError):
-        estimate(Mesh(4), samples=10, seed=-1)
     # a numpy integer gives the report of its int
     expected = estimate(Mesh(4), samples=10, seed=1).to_json()
     for good in (np.int64(1), np.uint8(1)):
@@ -237,6 +243,12 @@ def _one_shot(mesh, samples, rng, tol=1e-10):
     return U, form / nsq, nsq, bool(chain)
 
 
+def _range_bounds(samples, workers):
+    # the first rows of the pass's ranges, and samples: W ranges, at most one a row
+    workers = min(workers, samples)
+    return [samples * k // workers for k in range(workers + 1)]
+
+
 def _pass_cases():
     cases = [
         (n, (1, block - 1, block, block + 1, 1000))
@@ -276,15 +288,18 @@ def test_row_sums_do_not_depend_on_the_ranges(monkeypatch):
     # times 4 are those of the rows, each taken alone; the extra rows
     # follow, a 1-row block each, as the pass scores them
     def row_sums(workers, n, samples):
-        monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
         mesh, rng, out = Mesh(n), np.random.default_rng(n), []
-        for _, (_, blocks, (sums, _)) in ssc._ranges(mesh, samples, rng):
-            for image, comp in ssc._row_sums(mesh, blocks, sums[:2]):
+
+        def sums_of(mesh, blocks, group):
+            for image, comp in ssc._row_sums(mesh, blocks, np.empty((2, group))):
                 out.append(np.stack([image, comp]))
-        for index in (samples, samples + 1):
-            extra = [ssc._sampled_row(n, samples, rng, index)[None] / 2]
-            for image, comp in ssc._row_sums(mesh, extra, sums[:2]):
-                out.append(np.stack([image, comp]))
+
+        monkeypatch.setattr(ssc, "_range_minimum", sums_of)
+        bounds = _range_bounds(samples, workers)
+        for lo, hi in zip(bounds, bounds[1:]):
+            ssc._range(mesh, rng, lo, hi, len(bounds) - 1)
+        extras = (ssc._sampled_row(n, samples, rng, i)[None] / 2 for i in (samples, samples + 1))
+        sums_of(mesh, extras, 1)
         return np.concatenate(out, axis=1).view(np.int64)
 
     piece = ssc._ROW_PIECE
@@ -407,19 +422,26 @@ def _no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("failing_range", [1, 2, "exit"])
+@pytest.mark.parametrize("failing_range", [1, 2, "exit", "unreadable"])
 def test_no_range_process_outlives_the_pass(monkeypatch, failing_range):
     # range 1 runs in the caller and range 2 in a forked child; an error
     # in either is raised from the estimate once the child is reaped: the
     # caller's as the same object, the child's with its type and message
     # (no object crosses a process), and a child that ends without a
-    # result as RuntimeError
-    monkeypatch.setattr(ssc, "_workers", lambda n, samples: 2)
+    # result as RuntimeError.  An error in reading range 2's result (its
+    # unpickling raises) is raised once range 3's child is reaped too;
+    # every pipe is closed on every path
+    workers = 3 if failing_range == "unreadable" else 2
+    monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
     mesh = Mesh(2048)
     coercivity_estimate(mesh, samples=100)
     _no_child_is_left()
-    row_dots, caller = ssc._row_dots, os.getpid()
+    pipe, pipes, row_dots, caller = os.pipe, [], ssc._row_dots, os.getpid()
     raised = []
+
+    def recorded_pipe():
+        pipes.extend(pipe())
+        return tuple(pipes[-2:])
 
     def faulty(x, y, out=None):
         if os.getpid() == caller:
@@ -432,7 +454,14 @@ def test_no_range_process_outlives_the_pass(monkeypatch, failing_range):
             os._exit(3)
         return row_dots(x, y, out)
 
-    monkeypatch.setattr(ssc, "_row_dots", faulty)
+    def unreadable(data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    if failing_range == "unreadable":
+        monkeypatch.setattr(ssc.pickle, "loads", unreadable)
+    else:
+        monkeypatch.setattr(ssc, "_row_dots", faulty)
     for estimate in (coercivity_estimate, growth_estimate):
         if failing_range == 1:
             with pytest.raises(FloatingPointError) as error:
@@ -441,10 +470,18 @@ def test_no_range_process_outlives_the_pass(monkeypatch, failing_range):
         elif failing_range == 2:
             with pytest.raises(FloatingPointError, match="^range 2$"):
                 estimate(mesh, samples=100)
-        else:
+        elif failing_range == "exit":
             with pytest.raises(RuntimeError, match="ended with status 3 and no result"):
                 estimate(mesh, samples=100)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                estimate(mesh, samples=100)
         _no_child_is_left()
+        assert len(pipes) == 2 * (workers - 1)
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        pipes.clear()
 
 
 def test_one_range_where_there_is_no_fork(monkeypatch):
@@ -491,29 +528,33 @@ def test_row_blocks_reproduce_one_uniform_draw(monkeypatch):
     # ranges, each drawing from a copy of the generator advanced past the
     # rows before it, are together half of one rng.uniform(-1, 1) draw
     # bit for bit, with no extra row
-    jumped, generators = ssc._jumped, []
+    jumped, generators, blocks = ssc._jumped, [], []
 
     def recorded(rng, draws):
+        assert draws == n * sum(len(U) for U in blocks)
         generators.append(jumped(rng, draws))
         return generators[-1]
 
+    def copied(mesh, range_blocks, group):
+        first = None
+        for U in range_blocks:
+            first = U if first is None else first
+            assert np.shares_memory(U, first) and len(U) <= min(block, group)
+            blocks.append(U.copy())
+
     monkeypatch.setattr(ssc, "_jumped", recorded)
+    monkeypatch.setattr(ssc, "_range_minimum", copied)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(ssc, "_workers", lambda n, samples: workers)
         for n in (1, 13, 2048, ssc._ROW_PIECE + 1, 2**19):
             block = max(1, ssc._BLOCK_CELLS // workers // n) if n <= ssc._ROW_PIECE else 1
             for samples in (1, 2, block - 1, block, block + 1, 3 * block + 5):
                 if samples < 1:
                     continue
-                blocks = []
-                ranges = ssc._ranges(Mesh(n), samples, np.random.default_rng(n + samples))
-                for lo, (_, range_blocks, _) in ranges:
-                    assert lo == sum(len(U) for U in blocks)
-                    first = None
-                    for U in range_blocks:
-                        first = U if first is None else first
-                        assert np.shares_memory(U, first) and len(U) <= block
-                        blocks.append(U.copy())
+                blocks.clear()
+                rng = np.random.default_rng(n + samples)
+                bounds = _range_bounds(samples, workers)
+                for lo, hi in zip(bounds, bounds[1:]):
+                    ssc._range(Mesh(n), rng, lo, hi, len(bounds) - 1)
                 rows = 2 * np.concatenate([np.empty((0, n)), *blocks])
                 reference = np.random.default_rng(n + samples)
                 expected = reference.uniform(-1.0, 1.0, size=(samples, n))
@@ -567,20 +608,30 @@ def test_sampled_pass_holds_one_block_buffer():
         assert peak < 0.75 * 2**20, (estimate.__name__, peak)
 
 
-def test_a_forked_range_allocates_little_beyond_its_buffers(monkeypatch):
-    # the traced peaks above see only the caller; a child runs
-    # _range_minimum on the buffers _ranges allocated before the fork, so
-    # a non-first range is run here in the caller, traced from after
-    # _ranges, as a child runs it
+def test_the_caller_holds_only_its_own_range_buffer(monkeypatch):
+    # each process allocates its own range's buffer, so at W = 2 the
+    # caller holds a half share of _BLOCK_CELLS cells (0.25 MiB); with
+    # every range's buffer allocated in the caller it peaked at 0.556 MiB
     monkeypatch.setattr(ssc, "_workers", lambda n, samples: 2)
-    ranges = ssc._ranges(Mesh(2048), 10000, np.random.default_rng(0))
+    for estimate in (coercivity_estimate, growth_estimate):
+        peak = _traced_peak(estimate, Mesh(2048), 10000)
+        assert peak < 0.4 * 2**20, (estimate.__name__, peak)
+
+
+def test_a_forked_range_allocates_little_beyond_its_buffers():
+    # the traced peaks above see only the caller; the second of two
+    # ranges is run here in the caller, with no warm-up run, as a child
+    # runs it: its half share of _BLOCK_CELLS cells (16 rows of 2048)
+    # and its group arrays of 512 rows, and little more
+    n, rows, group = 2048, 16, 512
     tracemalloc.start()
     try:
-        ssc._range_minimum(*ranges[1][1])
+        ssc._range(Mesh(n), np.random.default_rng(0), 5000, 10000, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**10, peak
+    arrays = rows * n * 8 + group * (6 * 8 + 1)
+    assert peak < arrays + 64 * 2**10, (peak, arrays)
 
 
 def test_growth_memory_does_not_grow_with_samples():
